@@ -18,7 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     _os.environ.setdefault(_var, _threads)
 
-from .tensor import Tape, Tensor, ShapeError, apply, parameter  # noqa: E402
+from .tensor import Tape, Tensor, ShapeError, parameter  # noqa: E402
 from .data import (  # noqa: E402
     DataFormatError,
     MultiViewDataset,
@@ -40,6 +40,7 @@ from .contrastive import (  # noqa: E402
 )
 from .clustering import MetricTriple, accuracy, evaluate_labels, kmeans, nmi, purity  # noqa: E402
 from .trainer import (  # noqa: E402
+    ModelConfig,
     TmcnModel,
     TrainConfig,
     evaluate,
@@ -52,7 +53,7 @@ from .trainer import (  # noqa: E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tape", "Tensor", "ShapeError", "apply", "parameter",
+    "Tape", "Tensor", "ShapeError", "parameter",
     "DataFormatError", "MultiViewDataset", "SyntheticSpec", "generate_synthetic",
     "load_dataset", "normalize_views", "rescale_views", "save_dataset",
     "ViewAutoencoder", "reconstruction_loss",
@@ -60,7 +61,7 @@ __all__ = [
     "ContrastiveConfig", "ProjectionHeads", "average_similarity",
     "contrastive_loss", "view_similarity",
     "MetricTriple", "accuracy", "evaluate_labels", "kmeans", "nmi", "purity",
-    "TmcnModel", "TrainConfig", "evaluate", "load_model", "run_ablation",
-    "save_checkpoint", "train",
+    "ModelConfig", "TmcnModel", "TrainConfig", "evaluate", "load_model",
+    "run_ablation", "save_checkpoint", "train",
     "__version__",
 ]

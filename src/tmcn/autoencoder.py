@@ -20,15 +20,15 @@ class ViewAutoencoder:
     """Encoder/decoder pair for a single view, parameters independent per view."""
 
     def __init__(self, view_dim: int, embed_dim: int, rng: np.random.Generator,
-                 hidden_dims=DEFAULT_HIDDEN, activation: str = "relu"):
+                 hidden_dims=DEFAULT_HIDDEN):
         if view_dim < 1 or embed_dim < 1:
             raise ValueError(f"view_dim and embed_dim must be positive, got "
                              f"{view_dim} and {embed_dim}")
         hidden = list(hidden_dims)
         self.view_dim = view_dim
         self.embed_dim = embed_dim
-        self.encoder = Mlp([view_dim, *hidden, embed_dim], rng, activation)
-        self.decoder = Mlp([embed_dim, *reversed(hidden), view_dim], rng, activation)
+        self.encoder = Mlp([view_dim, *hidden, embed_dim], rng)
+        self.decoder = Mlp([embed_dim, *reversed(hidden), view_dim], rng)
 
     def encode(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.view_dim:

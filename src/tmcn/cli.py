@@ -15,7 +15,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -38,27 +38,14 @@ from .trainer import (
     train,
 )
 
-_FIELD_PARSERS = {
-    "ascl_weight": float,
-    "temperature": float,
-    "learning_rate": float,
-    "ascl_floor": float,
-    "seq_len": int,
-    "seq_dim": int,
-    "expand_factor": int,
-    "state_size": int,
-    "conv_width": int,
-    "proj_dim": int,
-    "batch_size": int,
-    "pretrain_epochs": int,
-    "joint_epochs": int,
-    "seed": int,
-    "eval_every": int,
-    "mode": str,
-    "ascl_mode": str,
-    "hidden_dims": lambda s: tuple(int(x) for x in s.replace(" ", "").split(",") if x),
-    "n_clusters": lambda s: None if s.strip().lower() in ("", "none") else int(s),
+_TYPE_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple[int, ...]": lambda s: tuple(int(x) for x in s.replace(" ", "").split(",") if x),
+    "int | None": lambda s: None if s.strip().lower() in ("", "none") else int(s),
 }
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(TrainConfig)}
 
 # short grid/override aliases for the most commonly swept fields
 _ALIASES = {
@@ -380,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataFormatError, ValueError, OSError) as e:
+    except (CliError, DataFormatError, ValueError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -71,8 +71,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
             members = points[assign == cid]
             new_centers[cid] = members.mean(axis=0)
         obj = float(((points - new_centers[assign]) ** 2).sum())
-        assert obj <= prev_obj * (1.0 + 1e-12) + 1e-12, \
-            f"k-means objective increased: {prev_obj} -> {obj}"
+        if not obj <= prev_obj * (1.0 + 1e-12) + 1e-12:
+            raise RuntimeError(f"k-means objective increased: {prev_obj} -> {obj}")
         trace.append(obj)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers

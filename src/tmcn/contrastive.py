@@ -89,9 +89,12 @@ def average_similarity(mats: list[np.ndarray]) -> np.ndarray:
 
 
 def _check_similarity(s: np.ndarray) -> None:
-    assert np.array_equal(s, s.T), "similarity matrix must be symmetric"
-    assert np.all(np.diag(s) == 1.0), "similarity matrix must have unit diagonal"
-    assert s.min() >= -1.0 and s.max() <= 1.0, "similarity entries must lie in [-1, 1]"
+    if not np.array_equal(s, s.T):
+        raise ValueError("similarity matrix must be symmetric")
+    if not np.all(np.diag(s) == 1.0):
+        raise ValueError("similarity matrix must have unit diagonal")
+    if not (s.min() >= -1.0 and s.max() <= 1.0):
+        raise ValueError("similarity entries must lie in [-1, 1]")
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,14 @@ class MultiViewDataset:
             v = np.asarray(v, dtype=np.float64)
             if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
                 raise DataFormatError(f"view {m}: expected a non-empty 2-D matrix, got shape {v.shape}")
-            # float32 quantization keeps in-memory values exactly representable on disk
-            quantized.append(v.astype(np.float32).astype(np.float64))
+            # float32 quantization keeps in-memory values exactly representable on
+            # disk; values beyond float32's range become inf and are rejected below
+            with np.errstate(over="ignore"):
+                v = v.astype(np.float32).astype(np.float64)
+            bad = ~np.isfinite(v).all(axis=1)
+            if bad.any():
+                raise DataFormatError(f"view {m}: non-finite value in row {int(bad.argmax())}")
+            quantized.append(v)
         n = quantized[0].shape[0]
         for m, v in enumerate(quantized):
             if v.shape[0] != n:
@@ -165,6 +171,10 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     n = int(manifest["n_samples"])
     views = []
     for m, entry in enumerate(manifest["views"]):
+        for key in ("file", "dim"):
+            if key not in entry:
+                raise DataFormatError(
+                    f"{manifest_path.name}: view {m} entry missing key {key!r}")
         mat = _read_matrix(base / entry["file"])
         if mat.shape[0] != n:
             raise DataFormatError(

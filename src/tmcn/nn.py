@@ -6,13 +6,6 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor, add, matmul, parameter
 
-_ACTIVATIONS = {
-    "relu": lambda t: t.relu(),
-    "silu": lambda t: t.silu(),
-    "sigmoid": lambda t: t.sigmoid(),
-    "linear": lambda t: t,
-}
-
 
 def init_affine(fan_in: int, fan_out: int, rng: np.random.Generator):
     """Uniform fan-in (He-style) weight init, zero bias."""
@@ -51,14 +44,11 @@ class Affine:
 
 
 class Mlp:
-    """Dense stack with a fixed hidden activation and a linear output layer."""
+    """Dense stack with ReLU hidden activations and a linear output layer."""
 
-    def __init__(self, dims: list[int], rng: np.random.Generator, activation: str = "relu"):
+    def __init__(self, dims: list[int], rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("mlp needs at least an input and an output width")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.activation = activation
         self.layers = [Affine.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
 
     @property
@@ -70,9 +60,8 @@ class Mlp:
         return self.layers[-1].out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        act = _ACTIVATIONS[self.activation]
         for layer in self.layers[:-1]:
-            x = act(layer(x))
+            x = layer(x).relu()
         return self.layers[-1](x)
 
     def params(self, prefix: str) -> dict[str, Tensor]:

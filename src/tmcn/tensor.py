@@ -1,10 +1,10 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Everything downstream (the encoders, the fusion block, the contrastive
-and reconstruction losses) is built from the fixed operation catalog in
-this module.  Values are numpy arrays; while a :class:`Tape` is active
-each operation records a backward closure, and ``Tape.backward`` replays
-the records once in reverse execution order to accumulate gradients.
+and reconstruction losses) is built from the operations in this module.
+Values are numpy arrays; while a :class:`Tape` is active each operation
+records a backward closure, and ``Tape.backward`` replays the records
+once in reverse execution order to accumulate gradients.
 Tapes are single use and support first-order gradients only.
 
 Domain guards follow one convention: ``log`` clamps its argument at
@@ -93,7 +93,7 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    # -- method forms of catalog ops ------------------------------------
+    # -- method forms of ops --------------------------------------------
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -105,9 +105,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
     def exp(self):
         return exp(self)
 
@@ -116,9 +113,6 @@ class Tensor:
 
     def softplus(self):
         return softplus(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
 
     def silu(self):
         return silu(self)
@@ -131,12 +125,6 @@ class Tensor:
 
     def clamp_min(self, floor: float):
         return clamp_min(self, floor)
-
-    def l2_norm(self, axis=None, keepdims: bool = False):
-        return l2_norm(self, axis=axis, keepdims=keepdims)
-
-    def narrow(self, axis: int, start: int, stop: int):
-        return slice_axis(self, axis, start, stop)
 
 
 def parameter(data) -> Tensor:
@@ -164,8 +152,6 @@ class Tape:
 
     def __init__(self):
         self._records = []          # (out, inputs, backward_fn)
-        self._produced: set[int] = set()
-        self._leaves: dict[int, Tensor] = {}
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -178,18 +164,9 @@ class Tape:
 
     def record(self, out: Tensor, inputs, backward_fn) -> None:
         self._records.append((out, inputs, backward_fn))
-        self._produced.add(id(out))
-        for t in inputs:
-            if t.requires_grad and id(t) not in self._produced:
-                self._leaves.setdefault(id(t), t)
 
-    def backward(self, loss: Tensor, leaves=None) -> dict[int, Tensor]:
-        """Accumulate d(loss)/d(leaf) for every leaf the tape touched.
-
-        Returns a map from ``id(leaf)`` to the gradient tensor; leaves
-        passed explicitly but never reached by the sweep get zeros.
-        Gradients also land on each leaf's ``.grad`` slot.
-        """
+    def backward(self, loss: Tensor) -> None:
+        """Accumulate d(loss)/d(leaf) on the ``.grad`` slot of every leaf reached."""
         if self._spent:
             raise RuntimeError("tape already consumed; build a new tape per forward pass")
         self._spent = True
@@ -199,12 +176,6 @@ class Tape:
         for out, _inputs, fn in reversed(self._records):
             if out.grad is not None:
                 fn(out.grad)
-        targets = list(leaves) if leaves is not None else list(self._leaves.values())
-        grads: dict[int, Tensor] = {}
-        for t in targets:
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            grads[id(t)] = Tensor(g)
-        return grads
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -349,26 +320,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    ax = axis if axis >= 0 else axis + a.ndim
-    if not (0 <= ax < a.ndim):
-        raise ShapeError(f"slice: axis {axis} out of range for shape {a.shape}")
-    if not (0 <= start <= stop <= a.shape[ax]):
-        raise ShapeError(f"slice: range [{start}, {stop}) invalid for shape {a.shape} axis {ax}")
-    idx = [slice(None)] * a.ndim
-    idx[ax] = slice(start, stop)
-    idx = tuple(idx)
-    data = a.data[idx]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accum(a, full)
-
-    return _make(data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -397,19 +348,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
     def backward(g):
         _accum(a, _spread(g, shape, ax, keepdims))
-
-    return _make(data, (a,), backward)
-
-
-def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    ax = _norm_axis(axis, a.ndim)
-    data = a.data.mean(axis=ax, keepdims=keepdims)
-    count = a.data.size if ax is None else int(np.prod([a.shape[i] for i in ax]))
-    shape = a.shape
-
-    def backward(g):
-        _accum(a, _spread(g, shape, ax, keepdims) / count)
 
     return _make(data, (a,), backward)
 
@@ -449,16 +387,6 @@ def softplus(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    s = expit(a.data)
-
-    def backward(g):
-        _accum(a, g * s * (1.0 - s))
-
-    return _make(s, (a,), backward)
-
-
 def silu(a) -> Tensor:
     a = _as_tensor(a)
     s = expit(a.data)
@@ -488,19 +416,6 @@ def clamp_min(a, floor: float) -> Tensor:
 
     def backward(g):
         _accum(a, g * (a.data > floor))
-
-    return _make(data, (a,), backward)
-
-
-def l2_norm(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    ax = _norm_axis(axis, a.ndim)
-    data = np.sqrt(np.sum(a.data * a.data, axis=ax, keepdims=keepdims))
-    shape = a.shape
-
-    def backward(g):
-        n = _spread(data, shape, ax, keepdims) if data.shape != shape else data
-        _accum(a, _spread(g, shape, ax, keepdims) * a.data / (n + EPS))
 
     return _make(data, (a,), backward)
 
@@ -536,16 +451,6 @@ def cosine_similarity_matrix(a, b) -> Tensor:
         _accum(b, (g.T @ ah - col[:, None] * bh) / nb[:, None])
 
     return _make(data, (a, b), backward)
-
-
-def cosine_similarity(u, v) -> Tensor:
-    """Cosine of two vectors as a scalar tensor."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine-similarity: expected equal-length vectors, "
-                         f"got shapes {u.shape} and {v.shape}")
-    m = cosine_similarity_matrix(reshape(u, (1, u.shape[0])), reshape(v, (1, v.shape[0])))
-    return reshape(m, ())
 
 
 # ---------------------------------------------------------------------------
@@ -682,52 +587,3 @@ def state_scan(x, delta, b_seq, c_seq, a, skip) -> Tensor:
         _accum(skip, gskip)
 
     return _make(y, inputs, backward)
-
-
-# ---------------------------------------------------------------------------
-# named dispatch
-
-_CATALOG = {
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "add": lambda inputs, attrs: add(*inputs),
-    "sub": lambda inputs, attrs: sub(*inputs),
-    "elementwise-mul": lambda inputs, attrs: mul(*inputs),
-    "scalar-mul": lambda inputs, attrs: scalar_mul(inputs[0], attrs["scalar"]),
-    "reshape": lambda inputs, attrs: reshape(inputs[0], attrs["shape"]),
-    "concat": lambda inputs, attrs: concat(list(inputs), attrs.get("axis", 0)),
-    "slice": lambda inputs, attrs: slice_axis(inputs[0], attrs["axis"],
-                                              attrs["start"], attrs["stop"]),
-    "transpose": lambda inputs, attrs: transpose(inputs[0]),
-    "sum": lambda inputs, attrs: tensor_sum(inputs[0], attrs.get("axis"),
-                                            attrs.get("keepdims", False)),
-    "mean": lambda inputs, attrs: tensor_mean(inputs[0], attrs.get("axis"),
-                                              attrs.get("keepdims", False)),
-    "exp": lambda inputs, attrs: exp(inputs[0]),
-    "log": lambda inputs, attrs: log(inputs[0]),
-    "softplus": lambda inputs, attrs: softplus(inputs[0]),
-    "sigmoid": lambda inputs, attrs: sigmoid(inputs[0]),
-    "silu": lambda inputs, attrs: silu(inputs[0]),
-    "square": lambda inputs, attrs: square(inputs[0]),
-    "clamp-min": lambda inputs, attrs: clamp_min(inputs[0], attrs["floor"]),
-    "l2-norm": lambda inputs, attrs: l2_norm(inputs[0], attrs.get("axis"),
-                                             attrs.get("keepdims", False)),
-    "cosine-similarity-matrix": lambda inputs, attrs: cosine_similarity_matrix(
-        inputs[0], inputs[1] if len(inputs) > 1 else inputs[0]),
-    "conv1d-depthwise": lambda inputs, attrs: conv1d_depthwise(*inputs),
-    "state-scan": lambda inputs, attrs: state_scan(*inputs),
-}
-
-
-def op_kinds() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))
-
-
-def apply(kind: str, inputs, attrs=None) -> Tensor:
-    """Run one catalog operation by name.
-
-    ``inputs`` is a sequence of tensors (or array-likes), ``attrs`` the
-    operation's keyword attributes, e.g. ``{"axis": 1}`` for concat.
-    """
-    if kind not in _CATALOG:
-        raise ValueError(f"unknown op kind {kind!r}; known kinds: {', '.join(op_kinds())}")
-    return _CATALOG[kind]([_as_tensor(t) for t in inputs], dict(attrs or {}))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .contrastive import (
 )
 from .data import MultiViewDataset
 from .fusion import FusionConfig, SelectiveFusion
-from .tensor import Tape, Tensor, add, concat
+from .tensor import Tape, Tensor, concat
 
 MODES = ("full", "no-tmfn", "no-ascl")
 HISTORY_COLUMNS = ("epoch", "phase", "total_loss", "rec_loss", "ascl_loss",
@@ -53,33 +53,47 @@ class TrainingDiverged(ArithmeticError):
 
 
 @dataclass
-class TrainConfig:
-    """Everything a run depends on besides the dataset itself."""
+class ModelConfig:
+    """The shape of a model: everything its parameter layout depends on."""
 
-    ascl_weight: float = 1.0          # weight on the contrastive term
-    temperature: float = 0.5
+    hidden_dims: tuple[int, ...] = (500, 500, 2000)
     seq_len: int = 16
     seq_dim: int = 16
     expand_factor: int = 2
     state_size: int = 16
     conv_width: int = 4
     proj_dim: int = 128
-    hidden_dims: tuple[int, ...] = (500, 500, 2000)
+    mode: str = "full"
+
+    def __post_init__(self):
+        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims widths must be >= 1, got {self.hidden_dims}")
+        for f in fields(ModelConfig):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+
+
+@dataclass
+class TrainConfig(ModelConfig):
+    """Everything a run depends on besides the dataset itself."""
+
+    ascl_weight: float = 1.0          # weight on the contrastive term
+    temperature: float = 0.5
     learning_rate: float = 3e-4
     batch_size: int = 256
     pretrain_epochs: int = 25
     joint_epochs: int = 35
     seed: int = 0
-    mode: str = "full"
     ascl_mode: str = "self-excluded"  # denominator convention, or "literal"
     ascl_floor: float = 1e-8
     n_clusters: int | None = None
     eval_every: int = 0               # epochs between metric rows; 0 disables
 
     def __post_init__(self):
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        super().__post_init__()
         if self.ascl_weight < 0:
             raise ValueError(f"ascl_weight must be >= 0, got {self.ascl_weight}")
         if self.batch_size < 2:
@@ -103,48 +117,33 @@ class TrainConfig:
 class TmcnModel:
     """Per-view autoencoders, optional fusion block, projection heads."""
 
-    def __init__(self, view_dims, seq_len=16, seq_dim=16, expand_factor=2,
-                 state_size=16, conv_width=4, proj_dim=128,
-                 hidden_dims=(500, 500, 2000), mode="full", seed=0):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    def __init__(self, view_dims, config: ModelConfig, seed=0):
         self.view_dims = [int(d) for d in view_dims]
-        self.seq_len = seq_len
-        self.seq_dim = seq_dim
-        self.expand_factor = expand_factor
-        self.state_size = state_size
-        self.conv_width = conv_width
-        self.proj_dim = proj_dim
-        self.hidden_dims = tuple(int(h) for h in hidden_dims)
-        self.mode = mode
-        self.seed = seed
+        self.config = config
 
         m = len(self.view_dims)
-        embed = seq_len * seq_dim
+        embed = self.embed_dim
         # keyed streams: every component draws from its own generator, so
         # switching mode never shifts another component's initialization
         self.autoencoders = [
             ViewAutoencoder(dim, embed, np.random.default_rng([seed, 1, i]),
-                            hidden_dims=self.hidden_dims)
+                            hidden_dims=config.hidden_dims)
             for i, dim in enumerate(self.view_dims)
         ]
-        if mode == "no-tmfn":
+        if config.mode == "no-tmfn":
             self.fusion = None
         else:
-            cfg = FusionConfig(n_views=m, seq_len=seq_len, seq_dim=seq_dim,
-                               expand_factor=expand_factor, state_size=state_size,
-                               conv_width=conv_width)
+            cfg = FusionConfig(n_views=m, seq_len=config.seq_len, seq_dim=config.seq_dim,
+                               expand_factor=config.expand_factor,
+                               state_size=config.state_size, conv_width=config.conv_width)
             self.fusion = SelectiveFusion(cfg, np.random.default_rng([seed, 2]))
         self.heads = ProjectionHeads.init(fused_dim=m * embed, view_dim=embed,
-                                          n_views=m, proj_dim=proj_dim,
+                                          n_views=m, proj_dim=config.proj_dim,
                                           rng=np.random.default_rng([seed, 3]))
 
     @classmethod
     def from_config(cls, view_dims, config: TrainConfig) -> "TmcnModel":
-        return cls(view_dims, seq_len=config.seq_len, seq_dim=config.seq_dim,
-                   expand_factor=config.expand_factor, state_size=config.state_size,
-                   conv_width=config.conv_width, proj_dim=config.proj_dim,
-                   hidden_dims=config.hidden_dims, mode=config.mode, seed=config.seed)
+        return cls(view_dims, config, seed=config.seed)
 
     @property
     def n_views(self) -> int:
@@ -152,7 +151,7 @@ class TmcnModel:
 
     @property
     def embed_dim(self) -> int:
-        return self.seq_len * self.seq_dim
+        return self.config.seq_len * self.config.seq_dim
 
     def encode_views(self, xs: list[Tensor]) -> list[Tensor]:
         return [ae.encode(x) for ae, x in zip(self.autoencoders, xs)]
@@ -189,17 +188,13 @@ class TmcnModel:
 
     def structure(self) -> dict[str, np.ndarray]:
         """Structural metadata blobs embedded in checkpoints."""
-        return {
-            "meta.view_dims": np.asarray(self.view_dims, dtype=np.float64),
-            "meta.hidden_dims": np.asarray(self.hidden_dims, dtype=np.float64),
-            "meta.seq_len": np.asarray(float(self.seq_len)),
-            "meta.seq_dim": np.asarray(float(self.seq_dim)),
-            "meta.expand_factor": np.asarray(float(self.expand_factor)),
-            "meta.state_size": np.asarray(float(self.state_size)),
-            "meta.conv_width": np.asarray(float(self.conv_width)),
-            "meta.proj_dim": np.asarray(float(self.proj_dim)),
-            "meta.mode": np.asarray(float(_MODE_CODES[self.mode])),
-        }
+        blobs = {"meta.view_dims": np.asarray(self.view_dims, dtype=np.float64)}
+        for f in fields(ModelConfig):
+            value = getattr(self.config, f.name)
+            if f.name == "mode":
+                value = _MODE_CODES[value]
+            blobs[f"meta.{f.name}"] = np.asarray(value, dtype=np.float64)
+        return blobs
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +318,6 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
                         if not np.isfinite(closs.item()):
                             raise TrainingDiverged(
                                 f"epoch {epoch}: contrastive term went non-finite")
-                        total = add(rec, closs * lam)
-                        assert total.item() == rec.item() + lam * closs.item()
                         objective = rec * (1.0 / b) + closs * lam
                         ascl_weighted += closs.item() * b
                         clamped += stats.clamped
@@ -469,19 +462,20 @@ def load_checkpoint_blobs(path) -> dict[str, np.ndarray]:
 def load_model(path) -> tuple[TmcnModel, dict[str, float]]:
     """Rebuild a model from a checkpoint; returns (model, extra-metadata)."""
     blobs = load_checkpoint_blobs(path)
+    values = {}
     try:
-        mode = MODES[int(blobs["meta.mode"])]
-        model = TmcnModel(
-            view_dims=[int(d) for d in blobs["meta.view_dims"]],
-            seq_len=int(blobs["meta.seq_len"]), seq_dim=int(blobs["meta.seq_dim"]),
-            expand_factor=int(blobs["meta.expand_factor"]),
-            state_size=int(blobs["meta.state_size"]),
-            conv_width=int(blobs["meta.conv_width"]),
-            proj_dim=int(blobs["meta.proj_dim"]),
-            hidden_dims=tuple(int(h) for h in blobs["meta.hidden_dims"]),
-            mode=mode)
+        for f in fields(ModelConfig):
+            arr = blobs[f"meta.{f.name}"]
+            if f.name == "mode":
+                values[f.name] = MODES[int(arr)]
+            elif f.name == "hidden_dims":
+                values[f.name] = tuple(int(h) for h in arr)
+            else:
+                values[f.name] = int(arr)
+        view_dims = [int(d) for d in blobs["meta.view_dims"]]
     except KeyError as e:
         raise ValueError(f"checkpoint missing structural metadata {e}") from None
+    model = TmcnModel(view_dims, ModelConfig(**values))
     params = model.params()
     missing = sorted(set(params) - set(blobs))
     if missing:

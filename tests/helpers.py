@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from tmcn.tensor import Tape, Tensor, apply, parameter
+from tmcn import tensor as T
+from tmcn.tensor import Tape, Tensor, parameter
 
 
 # ---------------------------------------------------------------------------
@@ -73,51 +74,67 @@ def check_grads(build_fn, leaves, rtol=1e-5, h=1e-6, seed=0):
     return err
 
 
-def op_grad_case(kind, rng):
-    """Random (leaves, attrs) for one catalog op, inputs kept off kinks.
+OP_KINDS = (
+    "add", "clamp-min", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
+    "elementwise-mul", "exp", "log", "matmul", "reshape", "scalar-mul", "silu",
+    "softplus", "square", "state-scan", "sub", "sum", "transpose",
+)
 
-    Returns (leaves, build_fn); build_fn recomputes the op through the
-    named dispatcher from the leaves' current data.
+
+def op_grad_case(kind, rng):
+    """Random leaves for one op kind of ``OP_KINDS``, inputs kept off kinks.
+
+    Returns (leaves, build_fn); build_fn recomputes the op from the
+    leaves' current data.
     """
     normal = lambda *shape: parameter(rng.normal(size=shape))
     if kind == "matmul":
-        leaves, attrs = [normal(3, 4), normal(4, 2)], {}
-    elif kind in ("add", "sub", "elementwise-mul"):
+        leaves = [normal(3, 4), normal(4, 2)]
+        return leaves, lambda: T.matmul(*leaves)
+    if kind in ("add", "sub", "elementwise-mul"):
         # one broadcast operand so the unbroadcast path is on the hook too
-        leaves, attrs = [normal(3, 4), normal(4)], {}
-    elif kind == "scalar-mul":
-        leaves, attrs = [normal(3, 4)], {"scalar": float(rng.normal())}
-    elif kind == "reshape":
-        leaves, attrs = [normal(2, 6)], {"shape": (3, 4)}
-    elif kind == "concat":
-        leaves, attrs = [normal(2, 3), normal(2, 2), normal(2, 4)], {"axis": 1}
-    elif kind == "slice":
-        leaves, attrs = [normal(3, 6)], {"axis": 1, "start": 1, "stop": 4}
-    elif kind == "transpose":
+        leaves = [normal(3, 4), normal(4)]
+        fn = {"add": T.add, "sub": T.sub, "elementwise-mul": T.mul}[kind]
+        return leaves, lambda: fn(*leaves)
+    if kind == "scalar-mul":
+        leaves, c = [normal(3, 4)], float(rng.normal())
+        return leaves, lambda: T.scalar_mul(leaves[0], c)
+    if kind == "reshape":
+        leaves = [normal(2, 6)]
+        return leaves, lambda: T.reshape(leaves[0], (3, 4))
+    if kind == "concat":
+        leaves = [normal(2, 3), normal(2, 2), normal(2, 4)]
+        return leaves, lambda: T.concat(leaves, axis=1)
+    if kind == "transpose":
         shape = (3, 4) if rng.integers(2) else (2, 3, 4)
-        leaves, attrs = [normal(*shape)], {}
-    elif kind in ("sum", "mean"):
+        leaves = [normal(*shape)]
+        return leaves, lambda: T.transpose(leaves[0])
+    if kind == "sum":
         axis = [None, 0, 1][int(rng.integers(3))]
-        leaves, attrs = [normal(3, 4)], {"axis": axis, "keepdims": bool(rng.integers(2))}
-    elif kind == "exp":
-        leaves, attrs = [parameter(rng.uniform(-2.0, 2.0, size=(3, 4)))], {}
-    elif kind == "log":
-        leaves, attrs = [parameter(rng.uniform(0.5, 2.0, size=(3, 4)))], {}
-    elif kind in ("softplus", "sigmoid", "silu", "square"):
-        leaves, attrs = [parameter(rng.normal(scale=2.0, size=(3, 4)))], {}
-    elif kind == "clamp-min":
+        leaves, keepdims = [normal(3, 4)], bool(rng.integers(2))
+        return leaves, lambda: T.tensor_sum(leaves[0], axis, keepdims)
+    if kind == "exp":
+        leaves = [parameter(rng.uniform(-2.0, 2.0, size=(3, 4)))]
+        return leaves, lambda: T.exp(leaves[0])
+    if kind == "log":
+        leaves = [parameter(rng.uniform(0.5, 2.0, size=(3, 4)))]
+        return leaves, lambda: T.log(leaves[0])
+    if kind in ("softplus", "silu", "square"):
+        leaves = [parameter(rng.normal(scale=2.0, size=(3, 4)))]
+        fn = {"softplus": T.softplus, "silu": T.silu, "square": T.square}[kind]
+        return leaves, lambda: fn(leaves[0])
+    if kind == "clamp-min":
         signs = rng.choice([-1.0, 1.0], size=(3, 4))
         leaves = [parameter(rng.uniform(0.2, 1.5, size=(3, 4)) * signs)]
-        attrs = {"floor": 0.0}
-    elif kind == "l2-norm":
-        axis = [None, 1][int(rng.integers(2))]
-        leaves, attrs = [normal(4, 5)], {"axis": axis, "keepdims": False}
-    elif kind == "cosine-similarity-matrix":
-        leaves, attrs = [normal(4, 5), normal(3, 5)], {}
-    elif kind == "conv1d-depthwise":
+        return leaves, lambda: T.clamp_min(leaves[0], 0.0)
+    if kind == "cosine-similarity-matrix":
+        leaves = [normal(4, 5), normal(3, 5)]
+        return leaves, lambda: T.cosine_similarity_matrix(*leaves)
+    if kind == "conv1d-depthwise":
         k = [2, 4, 7][int(rng.integers(3))]  # 7 > L exercises the short-input path
-        leaves, attrs = [normal(2, 3, 5), normal(3, k)], {}
-    elif kind == "state-scan":
+        leaves = [normal(2, 3, 5), normal(3, k)]
+        return leaves, lambda: T.conv1d_depthwise(*leaves)
+    if kind == "state-scan":
         # delta positive and decay rates negative, the recurrence's domain
         length = [1, 3, 6][int(rng.integers(3))]  # 6 > ceil(sqrt(6)) hits multi-segment replay
         leaves = [normal(2, length, 3),
@@ -125,10 +142,8 @@ def op_grad_case(kind, rng):
                   normal(2, length, 2), normal(2, length, 2),
                   parameter(rng.uniform(-2.0, -0.2, size=(3, 2))),
                   normal(3)]
-        attrs = {}
-    else:
-        raise ValueError(f"no gradient case for op kind {kind!r}")
-    return leaves, lambda: apply(kind, leaves, attrs)
+        return leaves, lambda: T.state_scan(*leaves)
+    raise ValueError(f"no gradient case for op kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

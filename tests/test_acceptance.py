@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    OP_KINDS,
     accuracy_bruteforce,
     best_two_partition_centers,
     check_grads,
@@ -28,6 +29,7 @@ from helpers import (
 )
 from tmcn import (
     ContrastiveConfig,
+    ModelConfig,
     SyntheticSpec,
     Tape,
     Tensor,
@@ -52,7 +54,6 @@ from tmcn import (
 )
 from tmcn.cli import main
 from tmcn.fusion import MambaParams, selective_scan
-from tmcn.tensor import op_kinds
 
 # the pinned release configuration: every end-to-end criterion runs at
 # exactly these settings, so a pass here certifies this configuration
@@ -88,7 +89,7 @@ def ablation(scaled_benchmark):
 
 
 # ---------------------------------------------------------------------------
-# 1. gradient suite: every catalog op, then the full forward graph
+# 1. gradient suite: every op, then the full forward graph
 
 def _full_graph_fd_error():
     """Worst FD relative error over every parameter of a tiny full model.
@@ -100,8 +101,8 @@ def _full_graph_fd_error():
     well clear of zero before any gradients are compared.
     """
     rng = np.random.default_rng(8)
-    model = TmcnModel([5, 4], seq_len=2, seq_dim=3, expand_factor=2,
-                      state_size=3, proj_dim=4, hidden_dims=(6,), seed=0)
+    model = TmcnModel([5, 4], ModelConfig(seq_len=2, seq_dim=3, expand_factor=2,
+                                          state_size=3, proj_dim=4, hidden_dims=(6,)))
     xs = [Tensor(rng.normal(size=(4, d)) * 0.5) for d in (5, 4)]
     for m, (ae, x) in enumerate(zip(model.autoencoders, xs)):
         p = ae.params(f"view{m}")
@@ -141,7 +142,7 @@ def test_criterion_1_gradient_suite(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(11)
     worst_op, worst_kind = 0.0, "none"
-    for kind in op_kinds():
+    for kind in OP_KINDS:
         for _ in range(4):
             leaves, build = op_grad_case(kind, rng)
             # collect the error here, assert once at the criterion bound

@@ -86,7 +86,7 @@ def test_loss_validation():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    ae = ViewAutoencoder(5, 3, rng, hidden_dims=(6,), activation="silu")
+    ae = ViewAutoencoder(5, 3, rng, hidden_dims=(6,))
     x = Tensor(rng.normal(size=(4, 5)))
     leaves = list(ae.params("v").values())
     check_grads(lambda: ae.reconstruct(x), leaves, rtol=1e-5)
@@ -95,7 +95,7 @@ def test_gradients_match_finite_differences():
 def test_relu_stack_loss_gradients():
     # the production activation; fixed seed keeps preactivations off the kink
     rng = np.random.default_rng(5)
-    ae = ViewAutoencoder(4, 3, rng, hidden_dims=(6,), activation="relu")
+    ae = ViewAutoencoder(4, 3, rng, hidden_dims=(6,))
     x = Tensor(rng.normal(size=(3, 4)))
     leaves = list(ae.params("v").values())
 

@@ -1,6 +1,7 @@
 """Command-line tests driven through main(argv) plus one real subprocess."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -118,6 +119,37 @@ def test_bad_dataset_path_is_a_clean_error(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["hidden_dims", "proj_dim"])
+def test_zero_width_is_a_clean_error(tmp_path, dataset_dir, capsys, field):
+    code = main(["train", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(tmp_path), *TINY_SETS, "--set", f"{field}=0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_training_is_a_clean_error(tmp_path, dataset_dir, capsys):
+    code = main(["train", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(tmp_path), *TINY_SETS, "--set", "learning_rate=1e300"])
+    assert code == 1
+    assert "error: epoch 1: reconstruction term went non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_view_is_a_clean_error(tmp_path, dataset_dir, capsys):
+    data = tmp_path / "data"
+    manifest = save_dataset(load_dataset(dataset_dir / "manifest.json"), data)
+    raw = bytearray((data / "view1.mvcd").read_bytes())
+    cols = 4
+    at = 12 + 4 * (3 * cols + 2)          # row 3, column 2
+    raw[at:at + 4] = struct.pack("<f", float("nan"))
+    (data / "view1.mvcd").write_bytes(bytes(raw))
+    code = main(["train", "--dataset", str(manifest), "--out", str(tmp_path / "run"),
+                 *TINY_SETS])
+    assert code == 1
+    assert "error: view 1: non-finite value in row 3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_loss_input_validation():
         contrastive_loss(two, [], np.eye(2), config)
     with pytest.raises(ShapeError, match="similarity"):
         contrastive_loss(two, [two], np.eye(3), config)
-    with pytest.raises(AssertionError, match="symmetric"):
+    with pytest.raises(ValueError, match="symmetric"):
         bad = np.eye(2)
         bad[0, 1] = 0.5
         contrastive_loss(two, [two], bad, config)

@@ -105,6 +105,16 @@ def test_manifest_missing_key_is_diagnosed(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("key", ["file", "dim"])
+def test_manifest_view_entry_missing_key_is_diagnosed(tmp_path, key):
+    manifest = save_dataset(_toy_dataset(), tmp_path)
+    doc = json.loads(manifest.read_text())
+    del doc["views"][1][key]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"view 1 entry missing key '{key}'"):
+        load_dataset(manifest)
+
+
 def test_invalid_json_is_diagnosed(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("{not json")
@@ -145,6 +155,15 @@ def test_empty_and_non_2d_views_rejected():
         MultiViewDataset(views=[])
     with pytest.raises(DataFormatError, match="2-D"):
         MultiViewDataset(views=[np.zeros(4)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_non_finite_values_rejected(bad):
+    second = np.zeros((5, 3))
+    second[2, 1] = bad            # 1e300 overflows float32 to inf
+    second[4, 0] = np.nan
+    with pytest.raises(DataFormatError, match="view 1: non-finite value in row 2"):
+        MultiViewDataset(views=[np.zeros((5, 2)), second])
 
 
 def test_views_quantize_through_float32_at_construction():
