@@ -30,7 +30,7 @@ from .data import (  # noqa: E402
     save_dataset,
 )
 from .autoencoder import ViewAutoencoder, reconstruction_loss  # noqa: E402
-from .fusion import FusionConfig, SelectiveFusion  # noqa: E402
+from .fusion import SelectiveFusion  # noqa: E402
 from .contrastive import (  # noqa: E402
     ContrastiveConfig,
     ProjectionHeads,
@@ -57,7 +57,7 @@ __all__ = [
     "DataFormatError", "MultiViewDataset", "SyntheticSpec", "generate_synthetic",
     "load_dataset", "normalize_views", "rescale_views", "save_dataset",
     "ViewAutoencoder", "reconstruction_loss",
-    "FusionConfig", "SelectiveFusion",
+    "SelectiveFusion",
     "ContrastiveConfig", "ProjectionHeads", "average_similarity",
     "contrastive_loss", "view_similarity",
     "MetricTriple", "accuracy", "evaluate_labels", "kmeans", "nmi", "purity",

@@ -106,22 +106,38 @@ def _load_config(path: str | None, sets: list[str], mode: str | None,
         raise CliError(f"invalid configuration: {e}") from None
 
 
-def _config_dict(config: TrainConfig) -> dict:
-    out = asdict(config)
-    out["hidden_dims"] = list(config.hidden_dims)
-    return out
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _prepare_dataset(manifest: str, normalize: bool):
-    dataset = load_dataset(manifest)
-    fingerprint = dataset_fingerprint(manifest)
-    if normalize:
+def _start_run(args, command: str, outputs: dict, mode: str | None = None, **extra):
+    """Resolve the config, load the dataset and write ``run.json`` into ``--out``."""
+    config = _load_config(args.config, args.set, mode, args.seed)
+    dataset = load_dataset(args.dataset)
+    fingerprint = dataset_fingerprint(args.dataset)
+    if not args.no_normalize:
         dataset = normalize_views(dataset)
-    return dataset, fingerprint
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "run.json", {
+        "tool_version": __version__,
+        "command": command,
+        "config": asdict(config),
+        "dataset": {"manifest": str(args.dataset), "fingerprint": fingerprint},
+        "normalize": not args.no_normalize,
+        "outputs": outputs,
+        **extra,
+    })
+    return config, dataset, out
+
+
+def _load_trained(args):
+    """A checkpoint's model and the dataset, scaled as the model's training data was."""
+    model, extra = load_model(args.checkpoint)
+    dataset = load_dataset(args.dataset)
+    if extra.get("normalized", 0.0):
+        dataset = normalize_views(dataset)
+    return model, dataset
 
 
 def _fmt(x: float) -> str:
@@ -144,19 +160,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config, args.set, args.mode, args.seed)
-    dataset, fingerprint = _prepare_dataset(args.dataset, not args.no_normalize)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "tool_version": __version__,
-        "command": "train",
-        "config": _config_dict(config),
-        "dataset": {"manifest": str(args.dataset), "fingerprint": fingerprint},
-        "normalize": not args.no_normalize,
-        "outputs": {"checkpoint": "checkpoint.tmcn", "history": "history.csv"},
-    }
-    _write_json(out / "run.json", manifest)
+    config, dataset, out = _start_run(
+        args, "train", {"checkpoint": "checkpoint.tmcn", "history": "history.csv"},
+        mode=args.mode)
     model, history = train(config, dataset)
     history.write_csv(out / "history.csv")
     save_checkpoint(model, out / "checkpoint.tmcn",
@@ -170,10 +176,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, extra = load_model(args.checkpoint)
-    dataset = load_dataset(args.dataset)
-    if extra.get("normalized", 0.0):
-        dataset = normalize_views(dataset)
+    model, dataset = _load_trained(args)
     k = args.k if args.k is not None else dataset.n_clusters
     if k is None:
         raise CliError("dataset has no cluster count; pass --k")
@@ -197,18 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _load_config(args.config, args.set, None, args.seed)
-    dataset, fingerprint = _prepare_dataset(args.dataset, not args.no_normalize)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "run.json", {
-        "tool_version": __version__,
-        "command": "ablate",
-        "config": _config_dict(config),
-        "dataset": {"manifest": str(args.dataset), "fingerprint": fingerprint},
-        "normalize": not args.no_normalize,
-        "outputs": {"table": "ablation.csv"},
-    })
+    config, dataset, out = _start_run(args, "ablate", {"table": "ablation.csv"})
     result = run_ablation(config, dataset)
     with open(out / "ablation.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -221,8 +213,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config, args.set, None, args.seed)
-    dataset, fingerprint = _prepare_dataset(args.dataset, not args.no_normalize)
     grids: list[tuple[str, list]] = []
     for spec in args.grid:
         if "=" not in spec:
@@ -235,17 +225,8 @@ def cmd_sweep(args) -> int:
         grids.append((name.strip(), values))
     if not grids:
         raise CliError("sweep needs at least one --grid")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "run.json", {
-        "tool_version": __version__,
-        "command": "sweep",
-        "config": _config_dict(config),
-        "dataset": {"manifest": str(args.dataset), "fingerprint": fingerprint},
-        "grid": {name: values for name, values in grids},
-        "normalize": not args.no_normalize,
-        "outputs": {"table": "sweep.csv"},
-    })
+    config, dataset, out = _start_run(args, "sweep", {"table": "sweep.csv"},
+                                      grid={name: values for name, values in grids})
     names = [name for name, _ in grids]
     fields = [_canonical_field(name) for name in names]
     with open(out / "sweep.csv", "w", newline="") as f:
@@ -254,8 +235,7 @@ def cmd_sweep(args) -> int:
         for combo in itertools.product(*(values for _, values in grids)):
             cfg = replace(config, **dict(zip(fields, combo)))
             model, _history = train(cfg, dataset)
-            result = evaluate(model, dataset, k=cfg.n_clusters or dataset.n_clusters,
-                              seed=config.seed)
+            result = evaluate(model, dataset, k=cfg.n_clusters, seed=config.seed)
             if result.metrics is None:
                 raise CliError("sweep needs a labeled dataset")
             w.writerow(list(combo) + [_fmt(result.metrics.acc),
@@ -266,10 +246,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    model, extra = load_model(args.checkpoint)
-    dataset = load_dataset(args.dataset)
-    if extra.get("normalized", 0.0):
-        dataset = normalize_views(dataset)
+    model, dataset = _load_trained(args)
     embedding = model.fused_embedding(dataset.views)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)

@@ -23,6 +23,7 @@ sits strictly inside the unit interval and the scan cannot blow up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,39 +45,8 @@ from .tensor import (
     transpose,
 )
 
-
-@dataclass
-class FusionConfig:
-    """Shape hyperparameters of the fusion block."""
-
-    n_views: int
-    seq_len: int = 16        # tokens per view (l)
-    seq_dim: int = 16        # token width (d)
-    expand_factor: int = 2   # branch width multiplier (dp = d * expand_factor)
-    state_size: int = 16     # recurrence state per channel (n)
-    conv_width: int = 4      # causal depthwise kernel taps
-
-    def __post_init__(self):
-        for name in ("n_views", "seq_len", "seq_dim", "expand_factor",
-                     "state_size", "conv_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.seq_len * self.seq_dim
-
-    @property
-    def total_len(self) -> int:
-        return self.n_views * self.seq_len
-
-    @property
-    def inner_dim(self) -> int:
-        return self.seq_dim * self.expand_factor
-
-    @property
-    def fused_dim(self) -> int:
-        return self.n_views * self.seq_len * self.seq_dim
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import ModelConfig
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +155,16 @@ def convert_to_vector(a: Tensor) -> Tensor:
 class SelectiveFusion:
     """Parameter bundle plus forward pass of the fusion block."""
 
-    def __init__(self, config: FusionConfig, rng: np.random.Generator):
+    def __init__(self, n_views: int, config: ModelConfig, rng: np.random.Generator):
+        self.n_views = n_views
         self.config = config
-        d, dp, state = config.seq_dim, config.inner_dim, config.state_size
+        d, state = config.seq_dim, config.state_size
+        dp = d * config.expand_factor
         self.branch_p = Affine.init(d, dp, rng)
         self.branch_q = Affine.init(d, dp, rng)
         # both branch biases start at +1 so the SiLUs open in their monotone
-        # region, and the conv kernel starts near the identity tap: the block
+        # region, and the conv kernel starts near a one-hot last tap, which is a
+        # (conv_width - 1)-token delay since tap j looks j tokens back: the block
         # then begins as a smooth quasi-linear map even for centered inputs,
         # instead of folding sign information through the SiLU dip
         self.branch_p.b.data += 1.0
@@ -219,8 +192,8 @@ class SelectiveFusion:
     def forward(self, z_views: list[Tensor]) -> Tensor:
         """Fuse flat per-view embeddings into one (N, M*l*d) vector per sample."""
         cfg = self.config
-        if len(z_views) != cfg.n_views:
-            raise ShapeError(f"fusion: expected {cfg.n_views} views, got {len(z_views)}")
+        if len(z_views) != self.n_views:
+            raise ShapeError(f"fusion: expected {self.n_views} views, got {len(z_views)}")
         seqs = [fine_grain(z, cfg.seq_len, cfg.seq_dim) for z in z_views]
         e = concat_views(seqs)
         p, q = branch_project(e, self.branch_p, self.branch_q)

@@ -36,7 +36,7 @@ from .contrastive import (
     view_similarity,
 )
 from .data import MultiViewDataset
-from .fusion import FusionConfig, SelectiveFusion
+from .fusion import SelectiveFusion
 from .tensor import Tape, Tensor, concat
 
 MODES = ("full", "no-tmfn", "no-ascl")
@@ -102,9 +102,9 @@ class TrainConfig(ModelConfig):
             raise ValueError("epoch counts must be >= 0")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
-        # temperature / mode / floor checks live with the loss config
-        ContrastiveConfig(temperature=self.temperature, mode=self.ascl_mode,
-                          floor=self.ascl_floor)
+        if self.n_clusters is not None and self.n_clusters < 1:
+            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        self.contrastive()  # temperature / mode / floor checks live with the loss config
 
     def contrastive(self) -> ContrastiveConfig:
         return ContrastiveConfig(temperature=self.temperature, mode=self.ascl_mode,
@@ -130,13 +130,8 @@ class TmcnModel:
                             hidden_dims=config.hidden_dims)
             for i, dim in enumerate(self.view_dims)
         ]
-        if config.mode == "no-tmfn":
-            self.fusion = None
-        else:
-            cfg = FusionConfig(n_views=m, seq_len=config.seq_len, seq_dim=config.seq_dim,
-                               expand_factor=config.expand_factor,
-                               state_size=config.state_size, conv_width=config.conv_width)
-            self.fusion = SelectiveFusion(cfg, np.random.default_rng([seed, 2]))
+        self.fusion = (None if config.mode == "no-tmfn"
+                       else SelectiveFusion(m, config, np.random.default_rng([seed, 2])))
         self.heads = ProjectionHeads.init(fused_dim=m * embed, view_dim=embed,
                                           n_views=m, proj_dim=config.proj_dim,
                                           rng=np.random.default_rng([seed, 3]))
@@ -289,7 +284,6 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
     n = dataset.n_samples
     batch = min(config.batch_size, n)
     history = TrainHistory()
-    eval_k = config.n_clusters if config.n_clusters is not None else dataset.n_clusters
 
     epoch = 0
     for phase, n_epochs in (("pretrain", config.pretrain_epochs),
@@ -337,8 +331,8 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
                 clamp_frac=clamped / terms if contrast_on else None,
             )
             if (config.eval_every and epoch % config.eval_every == 0
-                    and dataset.labels is not None and eval_k is not None):
-                result = evaluate(model, dataset, k=eval_k, seed=config.seed)
+                    and dataset.labels is not None):
+                result = evaluate(model, dataset, k=config.n_clusters, seed=config.seed)
                 record.acc = result.metrics.acc
                 record.nmi = result.metrics.nmi
                 record.pur = result.metrics.pur
@@ -386,18 +380,15 @@ class AblationResult:
                 for mode, run in self.runs.items()]
 
 
-def run_ablation(config: TrainConfig, dataset: MultiViewDataset,
-                 k: int | None = None) -> AblationResult:
+def run_ablation(config: TrainConfig, dataset: MultiViewDataset) -> AblationResult:
     """Train and evaluate every mode with the shared seed from ``config``."""
     if dataset.labels is None:
         raise ValueError("ablation needs a labeled dataset")
-    if k is None:
-        k = config.n_clusters if config.n_clusters is not None else dataset.n_clusters
     runs: dict[str, AblationRun] = {}
     for mode in MODES:
         cfg = replace(config, mode=mode)
         model, history = train(cfg, dataset)
-        result = evaluate(model, dataset, k=k, seed=config.seed)
+        result = evaluate(model, dataset, k=config.n_clusters, seed=config.seed)
         runs[mode] = AblationRun(model=model, history=history, metrics=result.metrics)
     return AblationResult(runs=runs)
 
@@ -459,27 +450,33 @@ def load_checkpoint_blobs(path) -> dict[str, np.ndarray]:
     return blobs
 
 
+def _meta_ints(blobs: dict[str, np.ndarray], name: str, ndim: int):
+    """The exact integers a structural blob holds: one (ndim 0) or a list (ndim 1)."""
+    if name not in blobs:
+        raise ValueError(f"checkpoint missing structural metadata {name!r}")
+    arr = blobs[name]
+    if arr.ndim != ndim or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValueError(f"checkpoint blob {name} must hold exact integers, got {arr.tolist()}")
+    return arr.astype(np.int64).tolist()
+
+
 def load_model(path) -> tuple[TmcnModel, dict[str, float]]:
     """Rebuild a model from a checkpoint; returns (model, extra-metadata)."""
     blobs = load_checkpoint_blobs(path)
-    values = {}
-    try:
-        for f in fields(ModelConfig):
-            arr = blobs[f"meta.{f.name}"]
-            if f.name == "mode":
-                values[f.name] = MODES[int(arr)]
-            elif f.name == "hidden_dims":
-                values[f.name] = tuple(int(h) for h in arr)
-            else:
-                values[f.name] = int(arr)
-        view_dims = [int(d) for d in blobs["meta.view_dims"]]
-    except KeyError as e:
-        raise ValueError(f"checkpoint missing structural metadata {e}") from None
-    model = TmcnModel(view_dims, ModelConfig(**values))
+    values = {f.name: _meta_ints(blobs, f"meta.{f.name}", int(f.name == "hidden_dims"))
+              for f in fields(ModelConfig)}
+    if values["mode"] not in range(len(MODES)):
+        raise ValueError(f"checkpoint blob meta.mode holds unknown mode code {values['mode']}")
+    values["mode"] = MODES[values["mode"]]
+    model = TmcnModel(_meta_ints(blobs, "meta.view_dims", 1), ModelConfig(**values))
     params = model.params()
     missing = sorted(set(params) - set(blobs))
     if missing:
         raise ValueError(f"checkpoint missing parameters: {missing[:3]}...")
+    stray = sorted(name for name in set(blobs) - set(params) if not name.startswith("meta."))
+    if stray:
+        raise ValueError(f"checkpoint parameters {stray[:3]}... do not fit the model "
+                         f"its meta.* blobs describe")
     for name, p in params.items():
         arr = blobs[name]
         if arr.shape != p.data.shape:

@@ -7,6 +7,7 @@ different derivation, not against themselves.
 
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -283,3 +284,14 @@ def best_two_partition_centers(points):
         if best is None or cost < best[0]:
             best = (cost, (ml, mr))
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# checkpoint surgery
+
+def set_checkpoint_scalar(path, name, value):
+    """Overwrite the float64 of the 0-d blob ``name`` in a checkpoint file."""
+    raw = bytearray(path.read_bytes())
+    at = raw.index(name.encode()) + len(name) + 4  # past the name and its ndim of 0
+    raw[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))

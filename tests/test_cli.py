@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from helpers import set_checkpoint_scalar
 from tmcn.cli import main
 from tmcn.data import MultiViewDataset, load_dataset, save_dataset
+from tmcn.trainer import TrainConfig
 
 TINY_SETS = [
     "--set", "seq_len=2", "--set", "seq_dim=2", "--set", "expand_factor=2",
@@ -201,6 +203,17 @@ def test_eval_explicit_assignments_path(tmp_path, trained_dir, dataset_dir, caps
     assert target.read_text().splitlines()[0] == "index,cluster"
 
 
+def test_eval_rejects_an_unknown_mode_code(tmp_path, trained_dir, dataset_dir, capsys):
+    ckpt = tmp_path / "checkpoint.tmcn"
+    ckpt.write_bytes((trained_dir / "checkpoint.tmcn").read_bytes())
+    set_checkpoint_scalar(ckpt, "meta.mode", 7)
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--dataset", str(dataset_dir / "manifest.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "meta.mode" in err
+
+
 # ---------------------------------------------------------------------------
 # ablate and sweep
 
@@ -231,6 +244,31 @@ def test_sweep_covers_the_grid(tmp_path, dataset_dir):
     assert lines[1].startswith("2,2,") and lines[2].startswith("4,2,")
     run = json.loads((out / "run.json").read_text())
     assert run["grid"] == {"d": [2, 4], "alpha": [2]}
+
+
+def test_run_manifests_share_one_layout(tmp_path, dataset_dir):
+    base = ["--dataset", str(dataset_dir / "manifest.json"), *TINY_SETS,
+            "--set", "pretrain_epochs=1", "--set", "joint_epochs=1"]
+    runs = {}
+    for command, extra in (("train", []), ("ablate", []), ("sweep", ["--grid", "d=2"])):
+        out = tmp_path / command
+        assert main([command, *base, "--out", str(out), *extra]) == 0
+        runs[command] = json.loads((out / "run.json").read_text())
+    layout = {"tool_version", "command", "config", "dataset", "normalize", "outputs"}
+    assert set(runs["train"]) == set(runs["ablate"]) == layout
+    assert set(runs["sweep"]) == layout | {"grid"}
+    configs = [TrainConfig(**run["config"]) for run in runs.values()]
+    assert configs[0] == configs[1] == configs[2]
+    assert configs[0].hidden_dims == (8,)
+
+
+def test_sweep_rejects_zero_clusters(tmp_path, dataset_dir, capsys):
+    code = main(["sweep", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(tmp_path), *TINY_SETS, "--set", "n_clusters=0",
+                 "--grid", "d=2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_clusters" in err
 
 
 def test_sweep_without_grid_is_an_error(tmp_path, dataset_dir, capsys):

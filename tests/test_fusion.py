@@ -5,7 +5,6 @@ import pytest
 
 from helpers import check_grads, scan_reference
 from tmcn.fusion import (
-    FusionConfig,
     MambaParams,
     SelectiveFusion,
     branch_project,
@@ -18,6 +17,7 @@ from tmcn.fusion import (
 )
 from tmcn.nn import Affine
 from tmcn.tensor import ShapeError, Tensor, parameter, silu
+from tmcn.trainer import ModelConfig
 
 
 def _random_scan_params(rng, dp, state):
@@ -181,30 +181,18 @@ def test_gate_shape_mismatch():
 # the block
 
 def test_forward_shape_law():
-    cfg = FusionConfig(n_views=2, seq_len=3, seq_dim=4, expand_factor=2,
-                       state_size=3, conv_width=2)
-    block = SelectiveFusion(cfg, np.random.default_rng(7))
+    cfg = ModelConfig(seq_len=3, seq_dim=4, expand_factor=2, state_size=3, conv_width=2)
+    block = SelectiveFusion(2, cfg, np.random.default_rng(7))
     zs = [Tensor(np.random.default_rng(8).normal(size=(5, 12))) for _ in range(2)]
     out = block(zs)
-    assert out.shape == (5, cfg.fused_dim)
-    assert cfg.fused_dim == 2 * 3 * 4
+    assert out.shape == (5, 2 * 3 * 4)
     with pytest.raises(ShapeError, match="views"):
         block([zs[0]])
 
 
-def test_config_validation_and_derived_dims():
-    with pytest.raises(ValueError, match="state_size"):
-        FusionConfig(n_views=1, state_size=0)
-    cfg = FusionConfig(n_views=3, seq_len=2, seq_dim=5, expand_factor=4)
-    assert cfg.embed_dim == 10
-    assert cfg.total_len == 6
-    assert cfg.inner_dim == 20
-
-
 def test_param_names_are_stable():
-    cfg = FusionConfig(n_views=2, seq_len=2, seq_dim=2, expand_factor=2,
-                       state_size=2, conv_width=2)
-    block = SelectiveFusion(cfg, np.random.default_rng(9))
+    cfg = ModelConfig(seq_len=2, seq_dim=2, expand_factor=2, state_size=2, conv_width=2)
+    block = SelectiveFusion(2, cfg, np.random.default_rng(9))
     assert set(block.params()) == {
         "fusion.branch_p.weight", "fusion.branch_p.bias",
         "fusion.branch_q.weight", "fusion.branch_q.bias",
@@ -216,18 +204,17 @@ def test_param_names_are_stable():
 
 
 def test_initial_step_sizes_sit_in_the_declared_band():
-    cfg = FusionConfig(n_views=1, seq_len=2, seq_dim=4, expand_factor=2)
-    block = SelectiveFusion(cfg, np.random.default_rng(10))
+    cfg = ModelConfig(seq_len=2, seq_dim=4, expand_factor=2)
+    block = SelectiveFusion(1, cfg, np.random.default_rng(10))
     steps = np.logaddexp(0.0, block.ssm.delta_bias.data)  # softplus at zero input
     assert np.all(steps >= 0.01 - 1e-12) and np.all(steps <= 0.1 + 1e-12)
     assert np.all(-np.exp(block.ssm.a_log.data) < 0.0)
 
 
 def test_full_block_gradients_match_finite_differences():
-    cfg = FusionConfig(n_views=2, seq_len=2, seq_dim=2, expand_factor=2,
-                       state_size=2, conv_width=2)
+    cfg = ModelConfig(seq_len=2, seq_dim=2, expand_factor=2, state_size=2, conv_width=2)
     rng = np.random.default_rng(11)
-    block = SelectiveFusion(cfg, rng)
+    block = SelectiveFusion(2, cfg, rng)
     zs = [parameter(rng.normal(size=(2, 4))) for _ in range(2)]
     leaves = list(block.params().values()) + zs
     check_grads(lambda: block(zs), leaves, rtol=1e-4)

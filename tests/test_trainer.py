@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import set_checkpoint_scalar
 from tmcn.clustering import accuracy
 from tmcn.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from tmcn.tensor import parameter
@@ -58,6 +59,8 @@ def test_config_validation():
         _tiny_config(temperature=0.0)
     with pytest.raises(ValueError, match="mode"):
         _tiny_config(ascl_mode="none")
+    with pytest.raises(ValueError, match="n_clusters"):
+        _tiny_config(n_clusters=0)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -334,6 +337,17 @@ def test_checkpoint_header_and_errors(tmp_path):
     versioned.write_bytes(raw[:4] + (9).to_bytes(4, "little") + raw[8:])
     with pytest.raises(ValueError, match="version"):
         load_model(versioned)
+
+
+@pytest.mark.parametrize("code, names", [(7, "meta.mode"), (-1, "meta.mode"),
+                                         (1.5, "meta.mode"), (1, "fusion")])
+def test_checkpoint_metadata_must_fit_the_model(tmp_path, code, names):
+    ds = _tiny_dataset()
+    model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), ds)
+    path = save_checkpoint(model, tmp_path / "m.tmcn")
+    set_checkpoint_scalar(path, "meta.mode", code)
+    with pytest.raises(ValueError, match=names):
+        load_model(path)
 
 
 def test_checkpoint_blobs_are_named_and_typed(tmp_path):
