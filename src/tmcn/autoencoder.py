@@ -13,14 +13,12 @@ import numpy as np
 from .nn import Mlp
 from .tensor import ShapeError, Tensor, add, square, sub
 
-DEFAULT_HIDDEN = (500, 500, 2000)
-
 
 class ViewAutoencoder:
     """Encoder/decoder pair for a single view, parameters independent per view."""
 
     def __init__(self, view_dim: int, embed_dim: int, rng: np.random.Generator,
-                 hidden_dims=DEFAULT_HIDDEN):
+                 hidden_dims):
         if view_dim < 1 or embed_dim < 1:
             raise ValueError(f"view_dim and embed_dim must be positive, got "
                              f"{view_dim} and {embed_dim}")

@@ -1,14 +1,14 @@
 """Gated selective state-space fusion of per-view embeddings.
 
-Each flat view embedding (N, l*d) is reshaped into a sequence of l
-d-dimensional tokens; the view sequences are concatenated along the
-token axis into one length L = M*l sequence per sample.  Two
-position-wise branches expand tokens to width dp = d * expand_factor;
-the first runs through a causal depthwise convolution, a SiLU, and an
-input-dependent state-space recurrence scanned left to right; the
-second gates the scan output through a SiLU.  A final position-wise map
-contracts back to width d and the sequence is flattened to the fused
-vector (N, M*l*d).
+The input is the concatenation of the flat view embeddings, (N, M*l*d).
+Read row-major, that vector already is the token sequence: token t of
+view m is token m*l + t, so each sample is one length L = M*l sequence
+of d-dimensional tokens.  Two position-wise branches expand tokens to
+width dp = d * expand_factor; the first runs through a causal depthwise
+convolution, a SiLU, and an input-dependent state-space recurrence
+scanned left to right; the second gates the scan output through a SiLU.
+A final position-wise map contracts back to width d, and the tokens are
+read back as the fused vector (N, M*l*d).
 
 The recurrence per channel c with state size n is
 
@@ -22,7 +22,7 @@ sits strictly inside the unit interval and the scan cannot blow up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +32,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    concat,
     conv1d_depthwise,
     exp,
     matmul,
@@ -47,52 +46,6 @@ from .tensor import (
 
 if TYPE_CHECKING:  # trainer imports this module
     from .trainer import ModelConfig
-
-
-# ---------------------------------------------------------------------------
-# pipeline stages
-
-def fine_grain(z: Tensor, seq_len: int, seq_dim: int) -> Tensor:
-    """Reshape a flat view embedding (N, l*d) into token form (N, l, d)."""
-    if z.ndim != 2 or z.shape[1] != seq_len * seq_dim:
-        raise ShapeError(f"fine-grain: expected (N, {seq_len * seq_dim}), got {z.shape}")
-    return reshape(z, (z.shape[0], seq_len, seq_dim))
-
-
-def concat_views(seqs: list[Tensor]) -> Tensor:
-    """Stack per-view token sequences along the token axis: (N, M*l, d)."""
-    if not seqs:
-        raise ShapeError("concat-views: need at least one sequence")
-    first = seqs[0].shape
-    for s in seqs:
-        if s.ndim != 3 or s.shape != first:
-            raise ShapeError(f"concat-views: shape {s.shape} does not match {first}")
-    return concat(seqs, axis=1)
-
-
-def _positionwise(x: Tensor, layer: Affine) -> Tensor:
-    """Apply an affine map to every token of a (N, L, d) sequence."""
-    n, length, width = x.shape
-    flat = reshape(x, (n * length, width))
-    return reshape(layer(flat), (n, length, layer.out_dim))
-
-
-def branch_project(e: Tensor, branch_p: Affine, branch_q: Affine) -> tuple[Tensor, Tensor]:
-    """Expand tokens into the scan branch p and the gate branch q, both (N, L, dp)."""
-    if e.ndim != 3:
-        raise ShapeError(f"branch-project: expected (N, L, d), got {e.shape}")
-    return _positionwise(e, branch_p), _positionwise(e, branch_q)
-
-
-def conv_branch(p: Tensor, kernel: Tensor) -> Tensor:
-    """Depthwise causal conv over the token axis, then SiLU.
-
-    Input is token-major (N, L, dp); output is channels-first (N, dp, L)
-    ready for per-channel work.
-    """
-    if p.ndim != 3:
-        raise ShapeError(f"conv-branch: expected (N, L, dp), got {p.shape}")
-    return silu(conv1d_depthwise(transpose(p), kernel))
 
 
 @dataclass
@@ -132,21 +85,6 @@ def selective_scan(x: Tensor, params: MambaParams) -> Tensor:
     c_seq = reshape(matmul(flat, params.c_proj), (n, length, state))
     decay = mul(exp(params.a_log), Tensor(-1.0))  # A = -exp(a_log), kept negative
     return state_scan(x, delta, b_seq, c_seq, decay, params.skip)
-
-
-def gate_and_contract(scanned: Tensor, q: Tensor, contract: Affine) -> Tensor:
-    """Gate the scan output with SiLU(q), then map tokens back to width d."""
-    if scanned.shape != q.shape:
-        raise ShapeError(f"gate: scan shape {scanned.shape} does not match gate {q.shape}")
-    return _positionwise(mul(scanned, silu(q)), contract)
-
-
-def convert_to_vector(a: Tensor) -> Tensor:
-    """Flatten a (N, L, d) sequence into the fused vector (N, L*d)."""
-    if a.ndim != 3:
-        raise ShapeError(f"convert: expected (N, L, d), got {a.shape}")
-    n, length, width = a.shape
-    return reshape(a, (n, length * width))
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +127,20 @@ class SelectiveFusion:
         )
         self.contract = Affine.init(dp, d, rng)
 
-    def forward(self, z_views: list[Tensor]) -> Tensor:
-        """Fuse flat per-view embeddings into one (N, M*l*d) vector per sample."""
-        cfg = self.config
-        if len(z_views) != self.n_views:
-            raise ShapeError(f"fusion: expected {self.n_views} views, got {len(z_views)}")
-        seqs = [fine_grain(z, cfg.seq_len, cfg.seq_dim) for z in z_views]
-        e = concat_views(seqs)
-        p, q = branch_project(e, self.branch_p, self.branch_q)
-        causal = conv_branch(p, self.kernel)
-        scanned = selective_scan(transpose(causal), self.ssm)
-        return convert_to_vector(gate_and_contract(scanned, q, self.contract))
+    def forward(self, u: Tensor) -> Tensor:
+        """Fuse the concatenated view embeddings (N, M*l*d) into a vector of that shape."""
+        d = self.config.seq_dim
+        dp = d * self.config.expand_factor
+        length = self.n_views * self.config.seq_len
+        if u.ndim != 2 or u.shape[1] != length * d:
+            raise ShapeError(f"fusion: expected (N, {length * d}), got {u.shape}")
+        n = u.shape[0]
+        tokens = reshape(u, (n * length, d))
+        p = reshape(self.branch_p(tokens), (n, length, dp))
+        causal = silu(conv1d_depthwise(transpose(p), self.kernel))  # channels-first
+        scanned = reshape(selective_scan(transpose(causal), self.ssm), (n * length, dp))
+        gated = mul(scanned, silu(self.branch_q(tokens)))
+        return reshape(self.contract(gated), (n, length * d))
 
     __call__ = forward
 
@@ -207,11 +148,7 @@ class SelectiveFusion:
         out = self.branch_p.params(f"{prefix}.branch_p")
         out.update(self.branch_q.params(f"{prefix}.branch_q"))
         out[f"{prefix}.conv.kernel"] = self.kernel
-        out[f"{prefix}.ssm.a_log"] = self.ssm.a_log
-        out[f"{prefix}.ssm.b_proj"] = self.ssm.b_proj
-        out[f"{prefix}.ssm.c_proj"] = self.ssm.c_proj
-        out[f"{prefix}.ssm.delta_proj"] = self.ssm.delta_proj
-        out[f"{prefix}.ssm.delta_bias"] = self.ssm.delta_bias
-        out[f"{prefix}.ssm.skip"] = self.ssm.skip
+        for f in fields(MambaParams):
+            out[f"{prefix}.ssm.{f.name}"] = getattr(self.ssm, f.name)
         out.update(self.contract.params(f"{prefix}.contract"))
         return out

@@ -30,10 +30,6 @@ class Affine:
     def in_dim(self) -> int:
         return self.w.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.w.shape[1]
-
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"affine: expected input (N, {self.in_dim}), got {x.shape}")
@@ -50,14 +46,6 @@ class Mlp:
         if len(dims) < 2:
             raise ValueError("mlp needs at least an input and an output width")
         self.layers = [Affine.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers[:-1]:

@@ -473,21 +473,14 @@ def conv1d_depthwise(x, kernel) -> Tensor:
     w = kernel.data
     data = np.zeros_like(x.data)
     for j in range(min(k, length)):
-        if j == 0:
-            data += w[:, 0][None, :, None] * x.data
-        else:
-            data[..., j:] += w[:, j][None, :, None] * x.data[..., :-j]
+        data[..., j:] += w[:, j][None, :, None] * x.data[..., :length - j]
 
     def backward(g):
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w)
         for j in range(min(k, length)):
-            if j == 0:
-                gx += w[:, 0][None, :, None] * g
-                gw[:, 0] = np.einsum("ncl,ncl->c", g, x.data)
-            else:
-                gx[..., :-j] += w[:, j][None, :, None] * g[..., j:]
-                gw[:, j] = np.einsum("ncl,ncl->c", g[..., j:], x.data[..., :-j])
+            gx[..., :length - j] += w[:, j][None, :, None] * g[..., j:]
+            gw[:, j] = np.einsum("ncl,ncl->c", g[..., j:], x.data[..., :length - j])
         _accum(x, gx)
         _accum(kernel, gw)
 

@@ -155,9 +155,8 @@ class TmcnModel:
         return [ae.decode(z) for ae, z in zip(self.autoencoders, zs)]
 
     def fuse(self, zs: list[Tensor]) -> Tensor:
-        if self.fusion is None:
-            return concat(zs, axis=1)
-        return self.fusion(zs)
+        u = concat(zs, axis=1)
+        return u if self.fusion is None else self.fusion(u)
 
     def project(self, u: Tensor, zs: list[Tensor]):
         return project(u, zs, self.heads)
@@ -298,28 +297,31 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
             for idx in _batches(shuffle_rng.permutation(n), batch):
                 xs = [Tensor(view[idx]) for view in dataset.views]
                 b = len(idx)
-                with Tape() as tape:
-                    zs = model.encode_views(xs)
-                    rec = reconstruction_loss(xs, model.decode_views(zs))
-                    if not np.isfinite(rec.item()):
-                        raise TrainingDiverged(
-                            f"epoch {epoch}: reconstruction term went non-finite")
-                    if contrast_on:
-                        u = model.fuse(zs)
-                        sim = average_similarity([view_similarity(z.data) for z in zs])
-                        h_fused, h_views = model.project(u, zs)
-                        closs, stats = contrastive_loss(h_fused, h_views, sim, ccfg)
-                        if not np.isfinite(closs.item()):
+                # an overflow surfaces as a non-finite loss term, which raises
+                # TrainingDiverged below, so numpy need not warn about it first
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with Tape() as tape:
+                        zs = model.encode_views(xs)
+                        rec = reconstruction_loss(xs, model.decode_views(zs))
+                        if not np.isfinite(rec.item()):
                             raise TrainingDiverged(
-                                f"epoch {epoch}: contrastive term went non-finite")
-                        objective = rec * (1.0 / b) + closs * lam
-                        ascl_weighted += closs.item() * b
-                        clamped += stats.clamped
-                        terms += stats.terms
-                    else:
-                        objective = rec * (1.0 / b)
-                    tape.backward(objective)
-                opt.step()
+                                f"epoch {epoch}: reconstruction term went non-finite")
+                        if contrast_on:
+                            u = model.fuse(zs)
+                            sim = average_similarity([view_similarity(z.data) for z in zs])
+                            h_fused, h_views = model.project(u, zs)
+                            closs, stats = contrastive_loss(h_fused, h_views, sim, ccfg)
+                            if not np.isfinite(closs.item()):
+                                raise TrainingDiverged(
+                                    f"epoch {epoch}: contrastive term went non-finite")
+                            objective = rec * (1.0 / b) + closs * lam
+                            ascl_weighted += closs.item() * b
+                            clamped += stats.clamped
+                            terms += stats.terms
+                        else:
+                            objective = rec * (1.0 / b)
+                        tape.backward(objective)
+                    opt.step()
                 opt.zero_grad()
                 rec_sum += rec.item()
 
@@ -468,7 +470,12 @@ def load_model(path) -> tuple[TmcnModel, dict[str, float]]:
     if values["mode"] not in range(len(MODES)):
         raise ValueError(f"checkpoint blob meta.mode holds unknown mode code {values['mode']}")
     values["mode"] = MODES[values["mode"]]
-    model = TmcnModel(_meta_ints(blobs, "meta.view_dims", 1), ModelConfig(**values))
+    view_dims = _meta_ints(blobs, "meta.view_dims", 1)
+    try:
+        model = TmcnModel(view_dims, ModelConfig(**values))
+    except MemoryError:
+        raise ValueError("checkpoint meta.* blobs describe a model too large to "
+                         f"build: view_dims {view_dims}, {values}") from None
     params = model.params()
     missing = sorted(set(params) - set(blobs))
     if missing:

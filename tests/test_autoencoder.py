@@ -39,7 +39,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError, match="decode"):
         ae.decode(Tensor(np.zeros((3, 7))))
     with pytest.raises(ValueError):
-        ViewAutoencoder(0, 6, np.random.default_rng(0))
+        ViewAutoencoder(0, 6, np.random.default_rng(0), hidden_dims=(5,))
 
 
 def test_zeroed_final_encoder_layer_gives_zero_embeddings():

@@ -133,11 +133,12 @@ def test_zero_width_is_a_clean_error(tmp_path, dataset_dir, capsys, field):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_training_is_a_clean_error(tmp_path, dataset_dir, capsys):
+def test_diverged_training_is_a_clean_error(tmp_path, dataset_dir, capsys, recwarn):
     code = main(["train", "--dataset", str(dataset_dir / "manifest.json"),
                  "--out", str(tmp_path), *TINY_SETS, "--set", "learning_rate=1e300"])
     assert code == 1
     assert "error: epoch 1: reconstruction term went non-finite" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_finite_view_is_a_clean_error(tmp_path, dataset_dir, capsys):

@@ -1,22 +1,11 @@
-"""Fusion block tests: token layout, conv branch, scan semantics, gradients."""
+"""Fusion block tests: scan semantics, token layout, numpy reference, gradients."""
 
 import numpy as np
 import pytest
 
-from helpers import check_grads, scan_reference
-from tmcn.fusion import (
-    MambaParams,
-    SelectiveFusion,
-    branch_project,
-    concat_views,
-    conv_branch,
-    convert_to_vector,
-    fine_grain,
-    gate_and_contract,
-    selective_scan,
-)
-from tmcn.nn import Affine
-from tmcn.tensor import ShapeError, Tensor, parameter, silu
+from helpers import check_grads, conv_causal_reference, scan_reference
+from tmcn.fusion import MambaParams, SelectiveFusion, selective_scan
+from tmcn.tensor import ShapeError, Tensor, concat, parameter
 from tmcn.trainer import ModelConfig
 
 
@@ -29,70 +18,6 @@ def _random_scan_params(rng, dp, state):
         delta_bias=parameter(rng.normal(scale=0.5, size=dp)),
         skip=parameter(rng.normal(size=dp)),
     )
-
-
-# ---------------------------------------------------------------------------
-# token layout
-
-def test_fine_grain_token_layout():
-    z = Tensor(np.arange(12.0).reshape(1, 12))
-    seq = fine_grain(z, 3, 4)
-    assert seq.shape == (1, 3, 4)
-    for t in range(3):
-        assert np.array_equal(seq.data[0, t], z.data[0, t * 4:(t + 1) * 4])
-
-
-def test_concat_views_puts_view_m_token_t_at_position_m_l_plus_t():
-    rng = np.random.default_rng(0)
-    l, d = 3, 2
-    zs = [Tensor(rng.normal(size=(2, l * d))) for _ in range(2)]
-    e = concat_views([fine_grain(z, l, d) for z in zs])
-    assert e.shape == (2, 2 * l, d)
-    for m in range(2):
-        for t in range(l):
-            assert np.array_equal(e.data[:, m * l + t], zs[m].data[:, t * d:(t + 1) * d])
-
-
-def test_flatten_inverts_fine_grain():
-    rng = np.random.default_rng(1)
-    z = Tensor(rng.normal(size=(4, 10)))
-    assert np.array_equal(convert_to_vector(fine_grain(z, 5, 2)).data, z.data)
-
-
-def test_layout_shape_errors():
-    with pytest.raises(ShapeError, match="fine-grain"):
-        fine_grain(Tensor(np.zeros((2, 7))), 3, 2)
-    with pytest.raises(ShapeError, match="concat-views"):
-        concat_views([Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((2, 4, 2)))])
-    with pytest.raises(ShapeError, match="concat-views"):
-        concat_views([])
-
-
-# ---------------------------------------------------------------------------
-# branches
-
-def test_branch_projection_with_explicit_weights():
-    # project token [a, b] to [a, b, 0, 0]: weight [I; 0], zero bias
-    w = np.zeros((2, 4))
-    w[0, 0] = w[1, 1] = 1.0
-    layer = Affine(parameter(w), parameter(np.zeros(4)))
-    e = Tensor(np.arange(12.0).reshape(2, 3, 2))
-    p, q = branch_project(e, layer, layer)
-    assert p.shape == (2, 3, 4)
-    assert np.array_equal(p.data[..., :2], e.data)
-    assert np.array_equal(p.data[..., 2:], np.zeros((2, 3, 2)))
-    assert np.array_equal(q.data, p.data)
-
-
-def test_conv_branch_identity_kernel_is_pointwise_silu():
-    rng = np.random.default_rng(2)
-    p = Tensor(rng.normal(size=(2, 5, 3)))  # (N, L, dp)
-    kernel = np.zeros((3, 4))
-    kernel[:, 0] = 1.0
-    out = conv_branch(p, Tensor(kernel))
-    assert out.shape == (2, 3, 5)  # channels-first
-    expected = silu(Tensor(np.swapaxes(p.data, 1, 2))).data
-    assert np.allclose(out.data, expected, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -160,34 +85,62 @@ def test_scan_shape_errors():
 
 
 # ---------------------------------------------------------------------------
-# gate
-
-def test_gate_passes_large_activations_through():
-    # silu(50)/50 is 1 up to ~1e-22, so the gate multiplier is q itself
-    scanned = Tensor(np.ones((1, 2, 3)))
-    q = Tensor(np.full((1, 2, 3), 50.0))
-    ident = Affine(parameter(np.eye(3)), parameter(np.zeros(3)))
-    out = gate_and_contract(scanned, q, ident)
-    assert np.allclose(out.data, 50.0, atol=50.0 * 1e-10)
-
-
-def test_gate_shape_mismatch():
-    ident = Affine(parameter(np.eye(3)), parameter(np.zeros(3)))
-    with pytest.raises(ShapeError, match="gate"):
-        gate_and_contract(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 3))), ident)
-
-
-# ---------------------------------------------------------------------------
 # the block
 
 def test_forward_shape_law():
     cfg = ModelConfig(seq_len=3, seq_dim=4, expand_factor=2, state_size=3, conv_width=2)
     block = SelectiveFusion(2, cfg, np.random.default_rng(7))
     zs = [Tensor(np.random.default_rng(8).normal(size=(5, 12))) for _ in range(2)]
-    out = block(zs)
+    out = block(concat(zs, axis=1))
     assert out.shape == (5, 2 * 3 * 4)
-    with pytest.raises(ShapeError, match="views"):
-        block([zs[0]])
+    with pytest.raises(ShapeError, match="fusion"):
+        block(zs[0])
+    with pytest.raises(ShapeError, match="fusion"):
+        block(Tensor(np.zeros((5, 2, 12))))
+
+
+def test_block_matches_numpy_reference():
+    l, d, dp = 3, 2, 4
+    cfg = ModelConfig(seq_len=l, seq_dim=d, expand_factor=dp // d, state_size=3, conv_width=3)
+    rng = np.random.default_rng(12)
+    block = SelectiveFusion(2, cfg, rng)
+    for param in block.params().values():  # every path carries weight, unlike at init
+        param.data = rng.normal(scale=0.5, size=param.data.shape)
+    w = {name.removeprefix("fusion."): param.data for name, param in block.params().items()}
+    u = rng.normal(size=(3, 2 * l * d))
+
+    def silu(x):
+        return x / (1.0 + np.exp(-x))
+
+    tokens = u.reshape(3, 2 * l, d)
+    p = tokens @ w["branch_p.weight"] + w["branch_p.bias"]
+    q = tokens @ w["branch_q.weight"] + w["branch_q.bias"]
+    causal = silu(conv_causal_reference(np.swapaxes(p, 1, 2), w["conv.kernel"]))
+    scanned = scan_reference(np.swapaxes(causal, 1, 2), w["ssm.a_log"], w["ssm.b_proj"],
+                             w["ssm.c_proj"], w["ssm.delta_proj"], w["ssm.delta_bias"],
+                             w["ssm.skip"])
+    ref = (scanned * silu(q)) @ w["contract.weight"] + w["contract.bias"]
+    got = block(Tensor(u)).data
+    assert np.max(np.abs(got - ref.reshape(3, 2 * l * d))) < 1e-10
+
+
+def test_token_position_follows_view_order():
+    # token t of view m is fused token m*l + t, and no fused token sees a later one
+    l, d = 3, 2
+    cfg = ModelConfig(seq_len=l, seq_dim=d, expand_factor=2, state_size=2, conv_width=2)
+    block = SelectiveFusion(2, cfg, np.random.default_rng(13))
+    zs = [np.random.default_rng(14 + m).normal(size=(2, l * d)) for m in range(2)]
+
+    def fused(views):
+        return block(concat([Tensor(z) for z in views], axis=1)).data.reshape(2, 2 * l, d)
+
+    base = fused(zs)
+    for t in range(l):
+        bumped = [zs[0], zs[1].copy()]
+        bumped[1][:, t * d:(t + 1) * d] += 1.0
+        out = fused(bumped)
+        assert np.array_equal(out[:, :l + t], base[:, :l + t])
+        assert not np.array_equal(out[:, l + t], base[:, l + t])
 
 
 def test_param_names_are_stable():
@@ -217,4 +170,4 @@ def test_full_block_gradients_match_finite_differences():
     block = SelectiveFusion(2, cfg, rng)
     zs = [parameter(rng.normal(size=(2, 4))) for _ in range(2)]
     leaves = list(block.params().values()) + zs
-    check_grads(lambda: block(zs), leaves, rtol=1e-4)
+    check_grads(lambda: block(concat(zs, axis=1)), leaves, rtol=1e-4)

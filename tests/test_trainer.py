@@ -339,14 +339,17 @@ def test_checkpoint_header_and_errors(tmp_path):
         load_model(versioned)
 
 
-@pytest.mark.parametrize("code, names", [(7, "meta.mode"), (-1, "meta.mode"),
-                                         (1.5, "meta.mode"), (1, "fusion")])
-def test_checkpoint_metadata_must_fit_the_model(tmp_path, code, names):
+@pytest.mark.parametrize("blob, value, match", [
+    ("meta.mode", 7, "meta.mode"), ("meta.mode", -1, "meta.mode"),
+    ("meta.mode", 1.5, "meta.mode"), ("meta.mode", 1, "fusion"),
+    ("meta.seq_len", 1e12, r"meta\.\* blobs"),
+], ids=["7-meta.mode", "-1-meta.mode", "1.5-meta.mode", "1-fusion", "1e12-meta.seq_len"])
+def test_checkpoint_metadata_must_fit_the_model(tmp_path, blob, value, match):
     ds = _tiny_dataset()
     model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), ds)
     path = save_checkpoint(model, tmp_path / "m.tmcn")
-    set_checkpoint_scalar(path, "meta.mode", code)
-    with pytest.raises(ValueError, match=names):
+    set_checkpoint_scalar(path, blob, value)
+    with pytest.raises(ValueError, match=match):
         load_model(path)
 
 
