@@ -24,20 +24,18 @@ class ClusteringResult:
     objective_trace: list[float]     # per-iteration objective of the winning restart
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        + (centers * centers).sum(axis=1)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    return np.maximum(d2, 0.0)
+def _sq_diff(points: np.ndarray, other: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``(points - other) ** 2``, written into ``scratch`` and returned."""
+    np.subtract(points, other, out=scratch)
+    return np.square(scratch, out=scratch)
 
 
-def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator,
+                   scratch: np.ndarray) -> np.ndarray:
     """k-means++ seeding; falls back to uniform choice when all distances vanish."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _sq_diff(points, points[chosen[0]], scratch).sum(axis=1)
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -45,32 +43,35 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_diff(points, points[idx], scratch).sum(axis=1))
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
+def _lloyd(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, scratch: np.ndarray,
+           centers: np.ndarray, max_iters: int, tol: float):
     n = points.shape[0]
     k = centers.shape[0]
     prev_obj = np.inf
     trace: list[float] = []
     assign = np.zeros(n, dtype=np.int64)
     for it in range(max_iters):
-        d2 = _pairwise_sq_dists(points, centers)
+        d2 = np.maximum(norms[:, None] + (centers * centers).sum(axis=1)[None, :]
+                        - twice @ centers.T, 0.0)
         assign = d2.argmin(axis=1)
-        # re-seed empty clusters on the point farthest from its center
+        # re-seed empty clusters on the point farthest from its center; a moved
+        # point drops out of the running, so each empty cluster gets its own
         counts = np.bincount(assign, minlength=k)
         point_cost = d2[np.arange(n), assign]
         for cid in np.flatnonzero(counts == 0):
             far = int(point_cost.argmax())
             centers[cid] = points[far]
             assign[far] = cid
-            point_cost[far] = 0.0
+            point_cost[far] = -np.inf
         new_centers = np.empty_like(centers)
         for cid in range(k):
             members = points[assign == cid]
             new_centers[cid] = members.mean(axis=0)
-        obj = float(((points - new_centers[assign]) ** 2).sum())
+        obj = float(_sq_diff(points, new_centers[assign], scratch).sum())
         if not obj <= prev_obj * (1.0 + 1e-12) + 1e-12:
             raise RuntimeError(f"k-means objective increased: {prev_obj} -> {obj}")
         trace.append(obj)
@@ -87,7 +88,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
     """Lloyd's algorithm with k-means++ seeding and ``restarts`` independent runs.
 
     Deterministic for a given (points, k, seed, restarts); the restart
-    with the lowest objective wins, first winner on ties.
+    with the lowest objective wins, first winner on ties.  The points'
+    squared norms, the doubled points and one (N, D) scratch buffer are
+    made once per call, so no iteration allocates an (N, D) temporary.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -97,11 +100,19 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
         raise ValueError(f"kmeans: k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise ValueError(f"kmeans: restarts must be >= 1, got {restarts}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (points * points).sum(axis=1)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise ValueError(f"kmeans: row {int(bad.argmax())} has a non-finite squared norm")
+    twice = 2.0 * points
+    scratch = np.empty_like(points)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        init = _plusplus_init(points, k, rng)
-        assign, centers, obj, n_iter, trace = _lloyd(points, init, max_iters, tol)
+        init = _plusplus_init(points, k, rng, scratch)
+        assign, centers, obj, n_iter, trace = _lloyd(points, norms, twice, scratch, init,
+                                                     max_iters, tol)
         if best is None or obj < best.objective:
             best = ClusteringResult(assignments=assign, centers=centers, objective=obj,
                                     n_iter=n_iter, objective_trace=trace)

@@ -165,11 +165,21 @@ class TmcnModel:
         """Fused representation of every sample (no gradient tracking).
 
         This is the consensus vector the clustering runs on; the
-        projection heads exist only inside the contrastive loss.
+        projection heads exist only inside the contrastive loss.  Rows
+        run in chunks of ``TrainConfig.batch_size``, so inference memory
+        is bounded by the batch size, not by the sample count.
         """
-        xs = [Tensor(np.asarray(v)) for v in views]
-        zs = self.encode_views(xs)
-        return self.fuse(zs).data
+        views = [np.asarray(v) for v in views]
+        # an overflow surfaces as a non-finite row, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.concatenate([
+                self.fuse(self.encode_views([Tensor(v[idx]) for v in views])).data
+                for idx in _batches(np.arange(len(views[0])), TrainConfig.batch_size)])
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            raise FloatingPointError(f"fused embedding: non-finite value in row "
+                                     f"{int(bad.argmax())}")
+        return out
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

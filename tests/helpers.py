@@ -12,6 +12,7 @@ import struct
 import numpy as np
 
 from tmcn import tensor as T
+from tmcn.clustering import ClusteringResult
 from tmcn.tensor import Tape, Tensor, parameter
 
 
@@ -284,6 +285,96 @@ def best_two_partition_centers(points):
         if best is None or cost < best[0]:
             best = (cost, (ml, mr))
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# k-means as it was before its buffers were hoisted: a fresh (N, D)
+# temporary per distance, objective and seeding step.  Only the function
+# names differ from that version.  The library does the same arithmetic
+# into reused buffers, so its results must match these bit for bit.
+
+def _ref_pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    d2 = (
+        (points * points).sum(axis=1)[:, None]
+        + (centers * centers).sum(axis=1)[None, :]
+        - 2.0 * points @ centers.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _ref_plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding; falls back to uniform choice when all distances vanish."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def _ref_lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
+    n = points.shape[0]
+    k = centers.shape[0]
+    prev_obj = np.inf
+    trace: list[float] = []
+    assign = np.zeros(n, dtype=np.int64)
+    for it in range(max_iters):
+        d2 = _ref_pairwise_sq_dists(points, centers)
+        assign = d2.argmin(axis=1)
+        # re-seed empty clusters on the point farthest from its center
+        counts = np.bincount(assign, minlength=k)
+        point_cost = d2[np.arange(n), assign]
+        for cid in np.flatnonzero(counts == 0):
+            far = int(point_cost.argmax())
+            centers[cid] = points[far]
+            assign[far] = cid
+            point_cost[far] = 0.0
+        new_centers = np.empty_like(centers)
+        for cid in range(k):
+            members = points[assign == cid]
+            new_centers[cid] = members.mean(axis=0)
+        obj = float(((points - new_centers[assign]) ** 2).sum())
+        if not obj <= prev_obj * (1.0 + 1e-12) + 1e-12:
+            raise RuntimeError(f"k-means objective increased: {prev_obj} -> {obj}")
+        trace.append(obj)
+        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        prev_obj = obj
+        if shift < tol:
+            break
+    return assign, centers, prev_obj, len(trace), trace
+
+
+def kmeans_reference(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
+                     max_iters: int = 300, tol: float = 1e-9) -> ClusteringResult:
+    """Lloyd's algorithm with k-means++ seeding and ``restarts`` independent runs.
+
+    Deterministic for a given (points, k, seed, restarts); the restart
+    with the lowest objective wins, first winner on ties.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise ValueError(f"kmeans: expected a non-empty (N, D) matrix, got {points.shape}")
+    n = points.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError(f"kmeans: k must be in [1, {n}], got {k}")
+    if restarts < 1:
+        raise ValueError(f"kmeans: restarts must be >= 1, got {restarts}")
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        init = _ref_plusplus_init(points, k, rng)
+        assign, centers, obj, n_iter, trace = _ref_lloyd(points, init, max_iters, tol)
+        if best is None or obj < best.objective:
+            best = ClusteringResult(assignments=assign, centers=centers, objective=obj,
+                                    n_iter=n_iter, objective_trace=trace)
+    return best
 
 
 # ---------------------------------------------------------------------------

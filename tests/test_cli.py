@@ -10,7 +10,7 @@ import pytest
 from helpers import set_checkpoint_scalar
 from tmcn.cli import main
 from tmcn.data import MultiViewDataset, load_dataset, save_dataset
-from tmcn.trainer import TrainConfig
+from tmcn.trainer import TrainConfig, load_model, save_checkpoint
 
 TINY_SETS = [
     "--set", "seq_len=2", "--set", "seq_dim=2", "--set", "expand_factor=2",
@@ -213,6 +213,35 @@ def test_eval_rejects_an_unknown_mode_code(tmp_path, trained_dir, dataset_dir, c
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "meta.mode" in err
+
+
+@pytest.mark.parametrize("mode, scale, command, message", [
+    ("no-tmfn", 1e308, "eval", "fused embedding: non-finite value in row"),
+    ("no-tmfn", 1e308, "export-embeddings", "fused embedding: non-finite value in row"),
+    ("full", 1e300, "eval", "state-scan: non-finite state at step 0"),
+    ("full", 1e300, "export-embeddings", "state-scan: non-finite state at step 0"),
+    # a finite embedding near 1e299 whose squared norms overflow
+    ("no-tmfn", 1e300, "eval", "kmeans: row 0 has a non-finite squared norm"),
+])
+def test_blown_up_weights_are_a_clean_error(tmp_path, dataset_dir, capsys, recwarn,
+                                            mode, scale, command, message):
+    manifest = str(dataset_dir / "manifest.json")
+    # hidden width 32, so that a 1e308 first layer overflows the encoder on some rows
+    assert main(["train", "--dataset", manifest, "--out", str(tmp_path), "--mode", mode,
+                 *TINY_SETS, "--set", "hidden_dims=32"]) == 0
+    ckpt = tmp_path / "checkpoint.tmcn"
+    model, extra = load_model(ckpt)
+    model.params()["view0.encoder.layer0.weight"].data *= scale
+    save_checkpoint(model, ckpt, extra=extra)
+    capsys.readouterr()
+    target = tmp_path / "out.csv"
+    out_flag = ["--assignments" if command == "eval" else "--out", str(target)]
+    code = main([command, "--checkpoint", str(ckpt), "--dataset", manifest, *out_flag])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not target.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     accuracy_bruteforce,
     best_two_partition_centers,
+    kmeans_reference,
     nmi_reference,
     purity_reference,
 )
@@ -73,7 +74,9 @@ def test_empty_cluster_reseeds_on_the_farthest_point():
     pts = np.array([[0.0], [0.1], [0.2], [50.0]])
     # both starting centers in the left clump: the right one starts empty-bound
     centers = np.array([[0.0], [0.05]])
-    assign, new_centers, obj, _, _ = _lloyd(pts, centers.copy(), max_iters=50, tol=1e-9)
+    assign, new_centers, obj, _, _ = _lloyd(pts, (pts * pts).sum(axis=1), 2.0 * pts,
+                                            np.empty_like(pts), centers.copy(),
+                                            max_iters=50, tol=1e-9)
     assert len(set(assign.tolist())) == 2
     assert obj < ((pts - pts.mean()) ** 2).sum()  # better than one blob
 
@@ -97,6 +100,36 @@ def test_kmeans_validation():
         kmeans(pts, 2, restarts=0)
     with pytest.raises(ValueError, match="matrix"):
         kmeans(np.zeros(4), 2)
+    # rows whose squared norm is not a float: named, not turned into NaN distances
+    for value in (np.inf, np.nan, 1e200):
+        bad = np.ones((4, 2))
+        bad[2, 1] = value
+        with pytest.raises(ValueError, match="row 2 has a non-finite squared norm"):
+            kmeans(bad, 2)
+
+
+@pytest.mark.parametrize("n, d, k, seed", [
+    (1, 3, 1, 0), (7, 1, 3, 1), (30, 4, 5, 2), (60, 2, 9, 3), (200, 16, 4, 4),
+    (500, 64, 10, 5),
+    (20, 2, 7, 9),  # one restart reseeds an empty cluster on its farthest point
+])
+def test_kmeans_matches_the_allocating_reference_bitwise(n, d, k, seed):
+    pts = np.random.default_rng([n, d, k, seed]).normal(size=(n, d))
+    got = kmeans(pts, k, seed=seed)
+    want = kmeans_reference(pts, k, seed=seed)
+    assert got.assignments.tobytes() == want.assignments.tobytes()
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.objective == want.objective
+    assert got.n_iter == want.n_iter
+    assert got.objective_trace == want.objective_trace
+
+
+def test_coincident_points_reseed_each_empty_cluster_on_its_own_point():
+    result = kmeans(np.zeros((6, 3)), 3, seed=0)
+    assert result.n_iter == 1
+    assert np.bincount(result.assignments, minlength=3).min() == 1
+    assert np.array_equal(result.centers, np.zeros((3, 3)))
+    assert result.objective == 0.0
 
 
 # ---------------------------------------------------------------------------

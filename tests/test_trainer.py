@@ -6,7 +6,7 @@ import pytest
 from helpers import set_checkpoint_scalar
 from tmcn.clustering import accuracy
 from tmcn.data import MultiViewDataset, SyntheticSpec, generate_synthetic
-from tmcn.tensor import parameter
+from tmcn.tensor import Tensor, parameter
 from tmcn.trainer import (
     HISTORY_COLUMNS,
     MODES,
@@ -262,6 +262,28 @@ def test_evaluate_is_duck_typed_over_the_embedding():
     result = evaluate(Oracle(), ds, seed=0)
     assert result.metrics.acc == 1.0
     assert accuracy(result.clustering.assignments, ds.labels) == 1.0
+
+
+@pytest.mark.parametrize("mode", ["full", "no-tmfn"])
+@pytest.mark.parametrize("n", [2 * 256 + 1, 5])
+def test_chunked_embedding_equals_one_pass_bitwise(mode, n):
+    # 2*256 + 1 rows: the trailing 1-row chunk folds into the one before it
+    rng = np.random.default_rng(n)
+    views = [rng.normal(size=(n, 20)), rng.normal(size=(n, 30))]
+    model = TmcnModel([20, 30], ModelConfig(hidden_dims=(32,), mode=mode), seed=1)
+    chunked = model.fused_embedding(views)
+    whole = model.fuse(model.encode_views([Tensor(v) for v in views])).data
+    assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_embedding_rows_are_named(value):
+    model = TmcnModel([3, 2], ModelConfig(hidden_dims=(4,), seq_len=2, seq_dim=2,
+                                          mode="no-tmfn"), seed=0)
+    views = [np.ones((6, 3)), np.ones((6, 2))]
+    views[1][4, 0] = value
+    with pytest.raises(FloatingPointError, match="fused embedding: non-finite value in row 4"):
+        model.fused_embedding(views)
 
 
 # ---------------------------------------------------------------------------
