@@ -105,6 +105,12 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
     bad = ~np.isfinite(norms)
     if bad.any():
         raise ValueError(f"kmeans: row {int(bad.argmax())} has a non-finite squared norm")
+    # a squared distance to a point or a center in the points' hull is at most
+    # 4 max|x|^2, and the seeding and objective sums add N of them
+    top = float(norms.max())
+    if not np.isfinite(4.0 * top * n):
+        raise ValueError(f"kmeans: distance scale 4 * max squared norm ({top:.3g}) * N ({n}) "
+                         f"overflows float64")
     twice = 2.0 * points
     scratch = np.empty_like(points)
     rng = np.random.default_rng(seed)

@@ -64,11 +64,14 @@ def selective_scan(x: Tensor, params: MambaParams) -> Tensor:
     """Left-to-right input-dependent recurrence over a (N, L, dp) sequence.
 
     The delta, B and C projections run as ordinary taped ops; the
-    recurrence itself is the fused ``state_scan`` kernel, which replays
-    states from checkpoints in its backward pass instead of taping every
-    step.
+    recurrence itself is the fused ``state_scan`` kernel.  It holds the
+    state as (rows, n, dp), channels innermost, and sweeps the rows in
+    blocks of 64 (``tensor.SCAN_BLOCK_ROWS``).  Its backward pass replays
+    each block's states from sqrt(L)-spaced checkpoints instead of taping
+    every step, so beyond the checkpoints it holds O(sqrt(L)) state slabs
+    of one row block.
 
-    Raises on a non-finite state, naming the offending step.
+    Raises on a non-finite state, naming the earliest offending step.
     """
     if x.ndim != 3:
         raise ShapeError(f"selective-scan: expected (N, L, dp), got {x.shape}")

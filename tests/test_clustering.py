@@ -106,6 +106,11 @@ def test_kmeans_validation():
         bad[2, 1] = value
         with pytest.raises(ValueError, match="row 2 has a non-finite squared norm"):
             kmeans(bad, 2)
+    # finite squared norms whose distances and their sums do not fit a float
+    huge = [[1.2e154, 0.0], [0.0, 1.2e154], [1.1e154, 1e153], [0.0, 1.1e154]]
+    with pytest.raises(ValueError, match=r"distance scale 4 \* max squared norm \(1.44e\+308\) "
+                                         r"\* N \(4\) overflows"):
+        kmeans(huge, 2)
 
 
 @pytest.mark.parametrize("n, d, k, seed", [

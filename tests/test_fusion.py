@@ -5,7 +5,7 @@ import pytest
 
 from helpers import check_grads, conv_causal_reference, scan_reference
 from tmcn.fusion import MambaParams, SelectiveFusion, selective_scan
-from tmcn.tensor import ShapeError, Tensor, concat, parameter
+from tmcn.tensor import SCAN_BLOCK_ROWS, ShapeError, Tape, Tensor, concat, parameter, state_scan
 from tmcn.trainer import ModelConfig
 
 
@@ -73,6 +73,55 @@ def test_scan_raises_on_non_finite_state():
     with np.errstate(invalid="ignore"):  # the poisoned input itself warns
         with pytest.raises(FloatingPointError, match="step 1"):
             selective_scan(Tensor(x), params)
+
+
+def _raw_scan_inputs(rng, n, length, channels, state):
+    """Leaves for ``state_scan`` in its domain: delta positive, decay rates negative."""
+    return [rng.normal(size=(n, length, channels)),
+            rng.uniform(0.05, 0.8, size=(n, length, channels)),
+            rng.normal(size=(n, length, state)), rng.normal(size=(n, length, state)),
+            rng.uniform(-2.0, -0.2, size=(channels, state)), rng.normal(size=channels)]
+
+
+def _scan_grads(arrays, probe):
+    leaves = [parameter(a.copy()) for a in arrays]
+    with Tape() as tape:
+        tape.backward((state_scan(*leaves) * Tensor(probe)).sum())
+    return [t.grad for t in leaves]
+
+
+def test_scan_across_row_blocks_matches_reference_and_one_row_calls():
+    # 130 rows sweep as blocks of 64, 64 and 2; 6 tokens replay in 2 segments
+    n = 130
+    assert SCAN_BLOCK_ROWS == 64
+    rng = np.random.default_rng(15)
+    params = _random_scan_params(rng, 3, 2)
+    x = rng.normal(size=(n, 6, 3))
+    got = selective_scan(Tensor(x), params).data
+    ref = scan_reference(x, params.a_log.data, params.b_proj.data, params.c_proj.data,
+                         params.delta_proj.data, params.delta_bias.data, params.skip.data)
+    assert np.max(np.abs(got - ref)) < 1e-10
+
+    arrays = _raw_scan_inputs(rng, n, 6, 3, 2)
+    probe = rng.normal(size=(n, 6, 3))
+    full = _scan_grads(arrays, probe)
+    rows = [_scan_grads([a[i:i + 1] for a in arrays[:4]] + arrays[4:], probe[i:i + 1])
+            for i in range(n)]
+    for k in range(4):      # x, delta, b, c: row i's gradient comes from row i alone
+        want = np.concatenate([r[k] for r in rows])
+        assert np.max(np.abs(full[k] - want)) <= 1e-12 * np.max(np.abs(want))
+    for k in (4, 5):        # a, skip: summed over the rows
+        want = sum(r[k] for r in rows)
+        assert np.max(np.abs(full[k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_scan_names_the_earliest_non_finite_step_across_row_blocks():
+    # row 3 sits in the first block and breaks at step 4, row 70 in the second at step 1
+    x, delta, b_seq, c_seq, a, skip = _raw_scan_inputs(np.random.default_rng(16), 130, 6, 3, 2)
+    x[3, 4, 0] = np.inf
+    x[70, 1, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="step 1$"):
+        state_scan(x, delta, b_seq, c_seq, a, skip)
 
 
 def test_scan_shape_errors():
