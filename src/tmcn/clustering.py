@@ -24,18 +24,23 @@ class ClusteringResult:
     objective_trace: list[float]     # per-iteration objective of the winning restart
 
 
-def _sq_diff(points: np.ndarray, other: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``(points - other) ** 2``, written into ``scratch`` and returned."""
-    np.subtract(points, other, out=scratch)
-    return np.square(scratch, out=scratch)
+# Rows per block of a Lloyd sweep.  At D = 384 a block of the points and
+# the gathered centers it is compared with take 384 KiB each, so both stay
+# in a 2 MiB L2 while the block's objective, distances and sums read them.
+BLOCK_ROWS = 128
 
 
-def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator,
-                   scratch: np.ndarray) -> np.ndarray:
+def _dists_to(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, i: int) -> np.ndarray:
+    """Squared distances of every point to point ``i``: the norms identity, one GEMV."""
+    return np.maximum(norms + norms[i] - twice @ points[i], 0.0)
+
+
+def _plusplus_init(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding; falls back to uniform choice when all distances vanish."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _sq_diff(points, points[chosen[0]], scratch).sum(axis=1)
+    d2 = _dists_to(points, norms, twice, chosen[0])
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -43,42 +48,90 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator,
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_diff(points, points[idx], scratch).sum(axis=1))
+        d2 = np.minimum(d2, _dists_to(points, norms, twice, idx))
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, scratch: np.ndarray,
-           centers: np.ndarray, max_iters: int, tol: float):
-    n = points.shape[0]
+def _lloyd(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, centers: np.ndarray,
+           max_iters: int, tol: float):
+    """Lloyd iterations from ``centers``, each one sweep over the points in row blocks.
+
+    Iteration t's sweep takes each block once: it adds the block's exact
+    objective term of assignment t - 1 against centers t, from explicit
+    differences; it assigns the block to its nearest center t (norms
+    identity GEMM); and it adds the block's rows to the member sums that
+    give centers t + 1.  An empty cluster is reseeded on the point
+    farthest from its center, each on a point of its own, and the sums
+    are then rebuilt in one more pass.  The last assignment's objective
+    takes one objective-only pass.  Returns (assignments, centers,
+    objective, n_iter, objective_trace).
+    """
+    n, dim = points.shape
     k = centers.shape[0]
+    blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
+    assign = np.zeros(n, dtype=np.int64)
+    cost = np.empty(n)
+    sums = np.empty((k, dim))
+    gap = np.empty((min(n, BLOCK_ROWS), dim))
+    member = np.empty(min(n, BLOCK_ROWS))
+
+    def add_sums(block, labels):
+        # one GEMV per cluster over its 0/1 membership row, always through the
+        # same buffer: a cluster's sum is rounded alike whatever its label, so
+        # restarts that reach one partition under other labels tie exactly
+        row = member[: len(block)]
+        for cid in range(k):
+            np.equal(labels, cid, out=row)
+            sums[cid] += row @ block
+
+    def sweep(centers, objective, reassign):
+        cnorms = (centers * centers).sum(axis=1)
+        obj = 0.0
+        sums[:] = 0.0
+        for rows in blocks:
+            block, labels = points[rows], assign[rows]
+            if objective:
+                diff = gap[: len(block)]
+                # labels are in range; the default mode="raise" buffers ``out``
+                np.take(centers, labels, axis=0, out=diff, mode="clip")
+                flat = np.subtract(block, diff, out=diff).ravel()
+                obj += float(flat @ flat)
+            if reassign:
+                d2 = np.maximum(norms[rows, None] + cnorms[None, :] - twice[rows] @ centers.T,
+                                0.0)
+                d2.argmin(axis=1, out=labels)
+                d2.min(axis=1, out=cost[rows])
+                add_sums(block, labels)
+        return obj
+
     prev_obj = np.inf
     trace: list[float] = []
-    assign = np.zeros(n, dtype=np.int64)
+    sweep(centers, objective=False, reassign=True)
     for it in range(max_iters):
-        d2 = np.maximum(norms[:, None] + (centers * centers).sum(axis=1)[None, :]
-                        - twice @ centers.T, 0.0)
-        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=k)
+        empty = np.flatnonzero(counts == 0)
         # re-seed empty clusters on the point farthest from its center; a moved
         # point drops out of the running, so each empty cluster gets its own
-        counts = np.bincount(assign, minlength=k)
-        point_cost = d2[np.arange(n), assign]
-        for cid in np.flatnonzero(counts == 0):
-            far = int(point_cost.argmax())
+        for cid in empty:
+            far = int(cost.argmax())
             centers[cid] = points[far]
             assign[far] = cid
-            point_cost[far] = -np.inf
-        new_centers = np.empty_like(centers)
-        for cid in range(k):
-            members = points[assign == cid]
-            new_centers[cid] = members.mean(axis=0)
-        obj = float(_sq_diff(points, new_centers[assign], scratch).sum())
+            cost[far] = -np.inf
+        if empty.size:
+            counts = np.bincount(assign, minlength=k)
+            sums[:] = 0.0
+            for rows in blocks:
+                add_sums(points[rows], assign[rows])
+        new_centers = sums / counts[:, None]
+        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        last = shift < tol or it == max_iters - 1
+        obj = sweep(centers, objective=True, reassign=not last)
         if not obj <= prev_obj * (1.0 + 1e-12) + 1e-12:
             raise RuntimeError(f"k-means objective increased: {prev_obj} -> {obj}")
         trace.append(obj)
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers = new_centers
         prev_obj = obj
-        if shift < tol:
+        if last:
             break
     return assign, centers, prev_obj, len(trace), trace
 
@@ -89,8 +142,12 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
 
     Deterministic for a given (points, k, seed, restarts); the restart
     with the lowest objective wins, first winner on ties.  The points'
-    squared norms, the doubled points and one (N, D) scratch buffer are
-    made once per call, so no iteration allocates an (N, D) temporary.
+    squared norms and the doubled points are made once per call; each
+    k-means++ pick is one GEMV against them, and each Lloyd iteration one
+    sweep over the points in L2-sized row blocks (``_lloyd``).  The
+    reported objective is summed from explicit differences, and the
+    centers from member sums that do not depend on the cluster labels, so
+    two restarts that reach one partition tie exactly.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -112,13 +169,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
         raise ValueError(f"kmeans: distance scale 4 * max squared norm ({top:.3g}) * N ({n}) "
                          f"overflows float64")
     twice = 2.0 * points
-    scratch = np.empty_like(points)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        init = _plusplus_init(points, k, rng, scratch)
-        assign, centers, obj, n_iter, trace = _lloyd(points, norms, twice, scratch, init,
-                                                     max_iters, tol)
+        init = _plusplus_init(points, norms, twice, k, rng)
+        assign, centers, obj, n_iter, trace = _lloyd(points, norms, twice, init, max_iters, tol)
         if best is None or obj < best.objective:
             best = ClusteringResult(assignments=assign, centers=centers, objective=obj,
                                     n_iter=n_iter, objective_trace=trace)

@@ -167,9 +167,19 @@ class TmcnModel:
         This is the consensus vector the clustering runs on; the
         projection heads exist only inside the contrastive loss.  Rows
         run in chunks of ``TrainConfig.batch_size``, so inference memory
-        is bounded by the batch size, not by the sample count.
+        is bounded by the batch size, not by the sample count.  The views
+        must match the model's ``view_dims`` in count and width, and one
+        another in rows.
         """
         views = [np.asarray(v) for v in views]
+        if len(views) != self.n_views:
+            raise ValueError(f"dataset has {len(views)} view{'s' * (len(views) != 1)}, the "
+                             f"model was trained on {self.n_views} (view_dims {self.view_dims})")
+        for m, (v, dim) in enumerate(zip(views, self.view_dims)):
+            if v.shape[-1] != dim:
+                raise ValueError(f"view {m} has {v.shape[-1]} columns, the model expects {dim}")
+            if len(v) != len(views[0]):
+                raise ValueError(f"view {m} has {len(v)} rows, view 0 has {len(views[0])}")
         # an overflow surfaces as a non-finite row, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.concatenate([

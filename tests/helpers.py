@@ -290,8 +290,10 @@ def best_two_partition_centers(points):
 # ---------------------------------------------------------------------------
 # k-means as it was before its buffers were hoisted: a fresh (N, D)
 # temporary per distance, objective and seeding step.  Only the function
-# names differ from that version.  The library does the same arithmetic
-# into reused buffers, so its results must match these bit for bit.
+# names differ from that version.  The library sweeps the points in row
+# blocks, seeds from the norms identity and sums centers and objective
+# block by block, so its floats match these to about an ulp and its
+# assignments and iteration counts exactly.
 
 def _ref_pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d2 = (

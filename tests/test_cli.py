@@ -40,6 +40,15 @@ def trained_dir(tmp_path_factory, dataset_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def no_tmfn_dir(tmp_path_factory, dataset_dir):
+    out = tmp_path_factory.mktemp("run-no-tmfn")
+    code = main(["train", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(out), "--mode", "no-tmfn", *TINY_SETS])
+    assert code == 0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -242,6 +251,30 @@ def test_blown_up_weights_are_a_clean_error(tmp_path, dataset_dir, capsys, recwa
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not target.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("views, message", [
+    ("5,4,3", "dataset has 3 views, the model was trained on 2 (view_dims [5, 4])"),
+    ("5", "dataset has 1 view, the model was trained on 2 (view_dims [5, 4])"),
+    ("5,6", "view 1 has 6 columns, the model expects 4"),
+    ("3,4", "view 0 has 3 columns, the model expects 5"),
+])
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+@pytest.mark.parametrize("mode", ["full", "no-tmfn"])
+def test_views_that_do_not_fit_the_model_are_a_clean_error(request, tmp_path, capsys, mode,
+                                                           command, views, message):
+    run = request.getfixturevalue("trained_dir" if mode == "full" else "no_tmfn_dir")
+    data = tmp_path / "data"
+    assert main(["synth", "--samples", "24", "--clusters", "2", "--views", views,
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "out.csv"
+    out_flag = ["--assignments" if command == "eval" else "--out", str(target)]
+    code = main([command, "--checkpoint", str(run / "checkpoint.tmcn"),
+                 "--dataset", str(data / "manifest.json"), *out_flag])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from helpers import (
     nmi_reference,
     purity_reference,
 )
+from tmcn import clustering
 from tmcn.clustering import (
     MetricTriple,
     _lloyd,
@@ -75,8 +76,7 @@ def test_empty_cluster_reseeds_on_the_farthest_point():
     # both starting centers in the left clump: the right one starts empty-bound
     centers = np.array([[0.0], [0.05]])
     assign, new_centers, obj, _, _ = _lloyd(pts, (pts * pts).sum(axis=1), 2.0 * pts,
-                                            np.empty_like(pts), centers.copy(),
-                                            max_iters=50, tol=1e-9)
+                                            centers.copy(), max_iters=50, tol=1e-9)
     assert len(set(assign.tolist())) == 2
     assert obj < ((pts - pts.mean()) ** 2).sum()  # better than one blob
 
@@ -117,16 +117,68 @@ def test_kmeans_validation():
     (1, 3, 1, 0), (7, 1, 3, 1), (30, 4, 5, 2), (60, 2, 9, 3), (200, 16, 4, 4),
     (500, 64, 10, 5),
     (20, 2, 7, 9),  # one restart reseeds an empty cluster on its farthest point
+    (300, 8, 5, 6),  # blocks of 128, 128 and 44 rows
 ])
 def test_kmeans_matches_the_allocating_reference_bitwise(n, d, k, seed):
+    # The assignments and iteration counts must match bit for bit.  The floats
+    # differ by about an ulp: the library sums the centers and the objective
+    # block by block, the reference over all rows at once.
     pts = np.random.default_rng([n, d, k, seed]).normal(size=(n, d))
     got = kmeans(pts, k, seed=seed)
     want = kmeans_reference(pts, k, seed=seed)
     assert got.assignments.tobytes() == want.assignments.tobytes()
-    assert got.centers.tobytes() == want.centers.tobytes()
-    assert got.objective == want.objective
     assert got.n_iter == want.n_iter
-    assert got.objective_trace == want.objective_trace
+    assert np.allclose(got.centers, want.centers, rtol=1e-12, atol=0.0)
+    assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0.0)
+    assert got.objective_trace == pytest.approx(want.objective_trace, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, d, k, seed", [(300, 8, 5, 0), (40, 3, 7, 1), (100, 2, 5, 1)])
+def test_lloyd_from_permuted_centers_ties_bitwise(n, d, k, seed):
+    # a center's sum and the objective do not depend on the cluster's index
+    rng = np.random.default_rng([n, d, k, seed])
+    pts = rng.normal(size=(n, d))
+    init = pts[rng.choice(n, k, replace=False)]
+    perm = rng.permutation(k)
+    norms, twice = (pts * pts).sum(axis=1), 2.0 * pts
+    assign, centers, obj, n_iter, trace = _lloyd(pts, norms, twice, init.copy(), 300, 1e-9)
+    p_assign, p_centers, p_obj, p_iter, p_trace = _lloyd(pts, norms, twice, init[perm].copy(),
+                                                         300, 1e-9)
+    assert np.array_equal(perm[p_assign], assign)
+    assert p_centers.tobytes() == centers[perm].tobytes()
+    assert (p_obj, p_iter, p_trace) == (obj, n_iter, trace)
+
+
+def test_restarts_that_reach_one_partition_tie_and_the_first_wins(monkeypatch):
+    n, d, k, seed = 20, 2, 7, 9
+    pts = np.random.default_rng([n, d, k, seed]).normal(size=(n, d))
+    objectives = []
+    real = clustering._lloyd
+
+    def spy(*args):
+        out = real(*args)
+        objectives.append(out[2])
+        return out
+
+    monkeypatch.setattr(clustering, "_lloyd", spy)
+    got = kmeans(pts, k, seed=seed)
+    want = kmeans_reference(pts, k, seed=seed)
+    # restarts 3 (2 iterations) and 6 (4 iterations) reach one partition
+    assert objectives.count(got.objective) == 2
+    assert got.assignments.tobytes() == want.assignments.tobytes()
+    assert got.n_iter == want.n_iter == 2
+
+
+def test_objective_is_exact_far_from_the_origin():
+    # the norms identity loses about 2e-3 of this objective to cancellation
+    rng = np.random.default_rng(0)
+    centers = 1e4 + rng.normal(size=(3, 8))
+    labels = np.repeat(np.arange(3), 100)
+    pts = centers[labels] + 1e-3 * rng.normal(size=(300, 8))
+    result = kmeans(pts, 3, seed=0)
+    direct = float(((pts - result.centers[result.assignments]) ** 2).sum())
+    assert result.objective == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert accuracy(result.assignments, labels) == 1.0
 
 
 def test_coincident_points_reseed_each_empty_cluster_on_its_own_point():

@@ -286,6 +286,14 @@ def test_non_finite_embedding_rows_are_named(value):
         model.fused_embedding(views)
 
 
+@pytest.mark.parametrize("rows", [4, 9])
+def test_views_with_unequal_rows_are_named(rows):
+    # unchecked, a shorter view fails mid-batch and a longer one loses rows silently
+    model = TmcnModel([3, 2], ModelConfig(hidden_dims=(4,), seq_len=2, seq_dim=2), seed=0)
+    with pytest.raises(ValueError, match=f"view 1 has {rows} rows, view 0 has 6"):
+        model.fused_embedding([np.ones((6, 3)), np.ones((rows, 2))])
+
+
 # ---------------------------------------------------------------------------
 # ablation
 
