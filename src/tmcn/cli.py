@@ -110,13 +110,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _preprocess(config, dataset):
+    """The dataset scaled as ``config.preprocess`` says."""
+    return normalize_views(dataset) if config.preprocess == "minmax" else dataset
+
+
 def _start_run(args, command: str, outputs: dict, mode: str | None = None, **extra):
-    """Resolve the config, load the dataset and write ``run.json`` into ``--out``."""
+    """Resolve the config, load the raw dataset and write ``run.json`` into ``--out``."""
     config = _load_config(args.config, args.set, mode, args.seed)
     dataset = load_dataset(args.dataset)
     fingerprint = dataset_fingerprint(args.dataset)
-    if not args.no_normalize:
-        dataset = normalize_views(dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "run.json", {
@@ -124,7 +127,6 @@ def _start_run(args, command: str, outputs: dict, mode: str | None = None, **ext
         "command": command,
         "config": asdict(config),
         "dataset": {"manifest": str(args.dataset), "fingerprint": fingerprint},
-        "normalize": not args.no_normalize,
         "outputs": outputs,
         **extra,
     })
@@ -133,11 +135,8 @@ def _start_run(args, command: str, outputs: dict, mode: str | None = None, **ext
 
 def _load_trained(args):
     """A checkpoint's model and the dataset, scaled as the model's training data was."""
-    model, extra = load_model(args.checkpoint)
-    dataset = load_dataset(args.dataset)
-    if extra.get("normalized", 0.0):
-        dataset = normalize_views(dataset)
-    return model, dataset
+    model = load_model(args.checkpoint)
+    return model, _preprocess(model.config, load_dataset(args.dataset))
 
 
 def _fmt(x: float) -> str:
@@ -163,10 +162,9 @@ def cmd_train(args) -> int:
     config, dataset, out = _start_run(
         args, "train", {"checkpoint": "checkpoint.tmcn", "history": "history.csv"},
         mode=args.mode)
-    model, history = train(config, dataset)
+    model, history = train(config, _preprocess(config, dataset))
     history.write_csv(out / "history.csv")
-    save_checkpoint(model, out / "checkpoint.tmcn",
-                    extra={"normalized": 0.0 if args.no_normalize else 1.0})
+    save_checkpoint(model, out / "checkpoint.tmcn")
     last = history.records[-1] if history.records else None
     if last is not None:
         print(f"trained mode={config.mode} epochs={last.epoch} "
@@ -201,7 +199,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config, dataset, out = _start_run(args, "ablate", {"table": "ablation.csv"})
-    result = run_ablation(config, dataset)
+    result = run_ablation(config, _preprocess(config, dataset))
     with open(out / "ablation.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["mode", "acc", "nmi", "pur"])
@@ -234,8 +232,9 @@ def cmd_sweep(args) -> int:
         w.writerow(names + ["acc", "nmi", "pur"])
         for combo in itertools.product(*(values for _, values in grids)):
             cfg = replace(config, **dict(zip(fields, combo)))
-            model, _history = train(cfg, dataset)
-            result = evaluate(model, dataset, k=cfg.n_clusters, seed=config.seed)
+            scaled = _preprocess(cfg, dataset)  # per cell, since preprocess may be swept
+            model, _history = train(cfg, scaled)
+            result = evaluate(model, scaled, k=cfg.n_clusters, seed=config.seed)
             if result.metrics is None:
                 raise CliError("sweep needs a labeled dataset")
             w.writerow(list(combo) + [_fmt(result.metrics.acc),
@@ -278,8 +277,6 @@ def _add_config_flags(p: argparse.ArgumentParser, with_mode: bool = False) -> No
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a single config field (repeatable)")
     p.add_argument("--seed", type=int, default=None, help="override the run seed")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip per-column min-max scaling of the input views")
     if with_mode:
         p.add_argument("--mode", choices=MODES, default=None)
 

@@ -19,6 +19,8 @@ and each component gets its own stream so ablation modes share inits.
 from __future__ import annotations
 
 import csv
+import json
+import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -40,12 +42,11 @@ from .fusion import SelectiveFusion
 from .tensor import Tape, Tensor, concat
 
 MODES = ("full", "no-tmfn", "no-ascl")
+PREPROCESSING = ("minmax", "none")
 HISTORY_COLUMNS = ("epoch", "phase", "total_loss", "rec_loss", "ascl_loss",
                    "clamp_frac", "acc", "nmi", "pur")
 CHECKPOINT_MAGIC = b"TMCN"
-CHECKPOINT_VERSION = 1
-
-_MODE_CODES = {mode: i for i, mode in enumerate(MODES)}
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDiverged(ArithmeticError):
@@ -54,7 +55,11 @@ class TrainingDiverged(ArithmeticError):
 
 @dataclass
 class ModelConfig:
-    """The shape of a model: everything its parameter layout depends on."""
+    """Everything a checkpoint records: the parameter layout and the input scaling.
+
+    ``preprocess`` is applied by the command line (``minmax``:
+    ``data.normalize_views``); ``train`` and ``evaluate`` take views as given.
+    """
 
     hidden_dims: tuple[int, ...] = (500, 500, 2000)
     seq_len: int = 16
@@ -64,11 +69,14 @@ class ModelConfig:
     conv_width: int = 4
     proj_dim: int = 128
     mode: str = "full"
+    preprocess: str = "minmax"
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name, choices in (("mode", MODES), ("preprocess", PREPROCESSING)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, "
+                                 f"got {getattr(self, name)!r}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims widths must be >= 1, got {self.hidden_dims}")
         for f in fields(ModelConfig):
@@ -199,16 +207,6 @@ class TmcnModel:
             out.update(self.fusion.params("fusion"))
         out.update(self.heads.params("heads"))
         return out
-
-    def structure(self) -> dict[str, np.ndarray]:
-        """Structural metadata blobs embedded in checkpoints."""
-        blobs = {"meta.view_dims": np.asarray(self.view_dims, dtype=np.float64)}
-        for f in fields(ModelConfig):
-            value = getattr(self.config, f.name)
-            if f.name == "mode":
-                value = _MODE_CODES[value]
-            blobs[f"meta.{f.name}"] = np.asarray(value, dtype=np.float64)
-        return blobs
 
 
 # ---------------------------------------------------------------------------
@@ -428,88 +426,92 @@ def _write_blob(f, name: str, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def save_checkpoint(model: TmcnModel, path, extra: dict[str, float] | None = None) -> Path:
-    """Write structure metadata and all parameters as named float64 blobs."""
+def save_checkpoint(model: TmcnModel, path) -> Path:
+    """Write magic, uint32 version, uint32 header length, the UTF-8 JSON header
+    (``view_dims`` and every ``ModelConfig`` field), then every parameter blob."""
     path = Path(path)
-    blobs = dict(model.structure())
-    for key, value in (extra or {}).items():
-        blobs[f"meta.extra.{key}"] = np.asarray(float(value))
-    for name, p in model.params().items():
-        blobs[name] = p.data
+    header = {"view_dims": model.view_dims}
+    header.update((f.name, getattr(model.config, f.name)) for f in fields(ModelConfig))
+    encoded = json.dumps(header, sort_keys=True, default=int).encode("utf-8")  # numpy ints
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blobs)))
-        for name, arr in blobs.items():
-            _write_blob(f, name, arr)
+        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(encoded)))
+        f.write(encoded)
+        for name, p in model.params().items():
+            _write_blob(f, name, p.data)
     return path
 
 
-def _read_exact(f, count: int) -> bytes:
-    raw = f.read(count)
-    if len(raw) != count:
-        raise ValueError("checkpoint truncated")
-    return raw
+def _read_checkpoint(path) -> tuple[object, dict[str, np.ndarray]]:
+    """The JSON header and named blobs; each declared length is checked before slicing."""
+    raw = Path(path).read_bytes()
+    at = 0
 
+    def take(count: int) -> int:
+        nonlocal at
+        if count > len(raw) - at:
+            raise ValueError("checkpoint truncated")
+        at += count
+        return at - count
 
-def load_checkpoint_blobs(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        if _read_exact(f, 4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{Path(path).name}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
-        blobs: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4))
-            shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(_read_exact(f, 8 * n_items), dtype="<f8").reshape(shape)
-            blobs[name] = arr.astype(np.float64)
-    return blobs
+    def uint() -> int:
+        return struct.unpack_from("<I", raw, take(4))[0]
 
-
-def _meta_ints(blobs: dict[str, np.ndarray], name: str, ndim: int):
-    """The exact integers a structural blob holds: one (ndim 0) or a list (ndim 1)."""
-    if name not in blobs:
-        raise ValueError(f"checkpoint missing structural metadata {name!r}")
-    arr = blobs[name]
-    if arr.ndim != ndim or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
-        raise ValueError(f"checkpoint blob {name} must hold exact integers, got {arr.tolist()}")
-    return arr.astype(np.int64).tolist()
-
-
-def load_model(path) -> tuple[TmcnModel, dict[str, float]]:
-    """Rebuild a model from a checkpoint; returns (model, extra-metadata)."""
-    blobs = load_checkpoint_blobs(path)
-    values = {f.name: _meta_ints(blobs, f"meta.{f.name}", int(f.name == "hidden_dims"))
-              for f in fields(ModelConfig)}
-    if values["mode"] not in range(len(MODES)):
-        raise ValueError(f"checkpoint blob meta.mode holds unknown mode code {values['mode']}")
-    values["mode"] = MODES[values["mode"]]
-    view_dims = _meta_ints(blobs, "meta.view_dims", 1)
+    if raw[take(4):at] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{Path(path).name}: bad magic, not a checkpoint")
+    version = uint()
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
     try:
-        model = TmcnModel(view_dims, ModelConfig(**values))
+        header = json.loads(raw[take(uint()):at].decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"checkpoint header is not UTF-8 JSON: {e}") from None
+    blobs: dict[str, np.ndarray] = {}
+    while at < len(raw):
+        name = raw[take(uint()):at].decode("utf-8")
+        ndim = uint()
+        shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
+        if name in blobs:
+            raise ValueError(f"checkpoint repeats parameter {name}")
+        blobs[name] = np.frombuffer(raw, "<f8", math.prod(shape),
+                                    take(8 * math.prod(shape))).reshape(shape)
+    return header, blobs
+
+
+def load_model(path) -> TmcnModel:
+    """Rebuild a model from a checkpoint; ``model.config.preprocess`` says how to scale views.
+
+    The header must name exactly ``view_dims`` and the ``ModelConfig``
+    fields, so that no field falls back to its default unseen.
+    """
+    header, blobs = _read_checkpoint(path)
+    kinds = {f.name: f.type for f in fields(ModelConfig)} | {"view_dims": "list"}
+    names = set(header) if isinstance(header, dict) else set()
+    if names != set(kinds):
+        raise ValueError(f"checkpoint header does not fit the model config: missing "
+                         f"{sorted(set(kinds) - names)}, unknown {sorted(names - set(kinds))}")
+    for name, kind in kinds.items():  # ModelConfig checks the str fields
+        value = [header[name]] if kind == "int" else header[name]
+        # json also reads true, 1.5 and NaN; hidden_dims=() is a model without hidden layers
+        if kind != "str" and not (isinstance(value, list) and (value or name == "hidden_dims")
+                                  and all(type(v) is int and v >= 1 for v in value)):
+            raise ValueError(f"checkpoint header field {name} must hold integers >= 1, "
+                             f"got {json.dumps(header[name])}")
+    view_dims = header.pop("view_dims")
+    try:
+        model = TmcnModel(view_dims, ModelConfig(**header))
     except MemoryError:
-        raise ValueError("checkpoint meta.* blobs describe a model too large to "
-                         f"build: view_dims {view_dims}, {values}") from None
+        raise ValueError(f"checkpoint header describes a model too large to build: "
+                         f"view_dims {view_dims}, {header}") from None
     params = model.params()
-    missing = sorted(set(params) - set(blobs))
-    if missing:
-        raise ValueError(f"checkpoint missing parameters: {missing[:3]}...")
-    stray = sorted(name for name in set(blobs) - set(params) if not name.startswith("meta."))
-    if stray:
-        raise ValueError(f"checkpoint parameters {stray[:3]}... do not fit the model "
-                         f"its meta.* blobs describe")
+    if set(params) != set(blobs):
+        raise ValueError(f"checkpoint parameters do not fit the model its header describes: "
+                         f"missing {sorted(set(params) - set(blobs))[:3]}, "
+                         f"stray {sorted(set(blobs) - set(params))[:3]}")
     for name, p in params.items():
         arr = blobs[name]
         if arr.shape != p.data.shape:
             raise ValueError(f"checkpoint parameter {name} has shape {arr.shape}, "
                              f"expected {p.data.shape}")
-        p.data = arr.copy()
-    extra = {name.removeprefix("meta.extra."): float(arr)
-             for name, arr in blobs.items() if name.startswith("meta.extra.")}
-    return model, extra
+        p.data = arr.astype(np.float64)
+    return model

@@ -6,6 +6,7 @@ different derivation, not against themselves.
 """
 
 import itertools
+import json
 import math
 import struct
 
@@ -382,9 +383,21 @@ def kmeans_reference(points: np.ndarray, k: int, seed: int = 0, restarts: int = 
 # ---------------------------------------------------------------------------
 # checkpoint surgery
 
-def set_checkpoint_scalar(path, name, value):
-    """Overwrite the float64 of the 0-d blob ``name`` in a checkpoint file."""
-    raw = bytearray(path.read_bytes())
-    at = raw.index(name.encode()) + len(name) + 4  # past the name and its ndim of 0
-    raw[at:at + 8] = struct.pack("<d", value)
-    path.write_bytes(bytes(raw))
+DROP = object()  # set_checkpoint_field value that removes the field
+
+
+def set_checkpoint_field(path, name, value):
+    """Rewrite one field of a checkpoint's JSON header, and the header's length.
+
+    ``value`` is written with ``json.dumps``, so NaN becomes ``NaN``;
+    ``DROP`` removes the field.
+    """
+    raw = path.read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + size])
+    if value is DROP:
+        del header[name]
+    else:
+        header[name] = value
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + size:])

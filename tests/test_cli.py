@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from helpers import set_checkpoint_scalar
+from helpers import set_checkpoint_field
 from tmcn.cli import main
 from tmcn.data import MultiViewDataset, load_dataset, save_dataset
-from tmcn.trainer import TrainConfig, load_model, save_checkpoint
+from tmcn.trainer import TrainConfig, evaluate, load_model, save_checkpoint, train
 
 TINY_SETS = [
     "--set", "seq_len=2", "--set", "seq_dim=2", "--set", "expand_factor=2",
@@ -77,7 +77,7 @@ def test_train_writes_run_manifest_history_checkpoint(trained_dir, capsys):
     assert run["command"] == "train"
     assert run["config"]["seq_len"] == 2
     assert run["config"]["hidden_dims"] == [8]
-    assert run["normalize"] is True
+    assert run["config"]["preprocess"] == "minmax"
     assert run["dataset"]["fingerprint"]
     header = (trained_dir / "history.csv").read_text().splitlines()[0]
     assert header == "epoch,phase,total_loss,rec_loss,ascl_loss,clamp_frac,acc,nmi,pur"
@@ -92,6 +92,39 @@ def test_train_rerun_is_byte_identical(tmp_path, dataset_dir):
         a = (tmp_path / "r1" / name).read_bytes()
         b = (tmp_path / "r2" / name).read_bytes()
         assert a == b, name
+
+
+def test_preprocess_none_trains_and_evaluates_on_raw_views(tmp_path, dataset_dir, capsys):
+    manifest = dataset_dir / "manifest.json"
+    out = tmp_path / "raw"
+    assert main(["train", "--dataset", str(manifest), "--out", str(out), *TINY_SETS,
+                 "--set", "preprocess=none"]) == 0
+    assert json.loads((out / "run.json").read_text())["config"]["preprocess"] == "none"
+    assert load_model(out / "checkpoint.tmcn").config.preprocess == "none"
+    raw = load_dataset(manifest)
+    config = TrainConfig(seq_len=2, seq_dim=2, expand_factor=2, state_size=2, conv_width=2,
+                         proj_dim=8, hidden_dims=(8,), batch_size=8, pretrain_epochs=2,
+                         joint_epochs=2, learning_rate=1e-3, preprocess="none")  # TINY_SETS
+    model, history = train(config, raw)
+    history.write_csv(tmp_path / "history.csv")
+    assert (out / "history.csv").read_bytes() == (tmp_path / "history.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.tmcn"),
+                 "--dataset", str(manifest), "--assignments", str(tmp_path / "a.csv")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    result = evaluate(model, raw, seed=0)
+    assert [payload[k] for k in ("acc", "nmi", "pur")] == [
+        result.metrics.acc, result.metrics.nmi, result.metrics.pur]
+    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[1]) for r in rows] == result.clustering.assignments.tolist()
+
+
+def test_no_normalize_flag_is_gone(tmp_path, dataset_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--dataset", str(dataset_dir / "manifest.json"),
+              "--out", str(tmp_path), "--no-normalize"])
+    assert exc.value.code == 2
+    assert "--no-normalize" in capsys.readouterr().err
 
 
 def test_config_file_then_set_then_flag_precedence(tmp_path, dataset_dir):
@@ -216,12 +249,26 @@ def test_eval_explicit_assignments_path(tmp_path, trained_dir, dataset_dir, caps
 def test_eval_rejects_an_unknown_mode_code(tmp_path, trained_dir, dataset_dir, capsys):
     ckpt = tmp_path / "checkpoint.tmcn"
     ckpt.write_bytes((trained_dir / "checkpoint.tmcn").read_bytes())
-    set_checkpoint_scalar(ckpt, "meta.mode", 7)
+    set_checkpoint_field(ckpt, "mode", 7)
     code = main(["eval", "--checkpoint", str(ckpt),
                  "--dataset", str(dataset_dir / "manifest.json")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "meta.mode" in err
+    assert err.startswith("error: mode must be one of") and err.count("\n") == 1
+
+
+def test_eval_of_a_corrupt_blob_length_is_a_clean_error(tmp_path, trained_dir, dataset_dir,
+                                                       capsys):
+    raw = bytearray((trained_dir / "checkpoint.tmcn").read_bytes())
+    blob = 12 + int.from_bytes(raw[8:12], "little")      # the first blob
+    shape = blob + 8 + int.from_bytes(raw[blob:blob + 4], "little")
+    raw[shape:shape + 4] = (2**32 - 1).to_bytes(4, "little")
+    ckpt = tmp_path / "checkpoint.tmcn"
+    ckpt.write_bytes(bytes(raw))
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--dataset", str(dataset_dir / "manifest.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: checkpoint truncated\n"
 
 
 @pytest.mark.parametrize("mode, scale, command, message", [
@@ -239,9 +286,9 @@ def test_blown_up_weights_are_a_clean_error(tmp_path, dataset_dir, capsys, recwa
     assert main(["train", "--dataset", manifest, "--out", str(tmp_path), "--mode", mode,
                  *TINY_SETS, "--set", "hidden_dims=32"]) == 0
     ckpt = tmp_path / "checkpoint.tmcn"
-    model, extra = load_model(ckpt)
+    model = load_model(ckpt)
     model.params()["view0.encoder.layer0.weight"].data *= scale
-    save_checkpoint(model, ckpt, extra=extra)
+    save_checkpoint(model, ckpt)
     capsys.readouterr()
     target = tmp_path / "out.csv"
     out_flag = ["--assignments" if command == "eval" else "--out", str(target)]
@@ -309,6 +356,25 @@ def test_sweep_covers_the_grid(tmp_path, dataset_dir):
     assert run["grid"] == {"d": [2, 4], "alpha": [2]}
 
 
+def test_sweep_over_preprocess_matches_single_runs(tmp_path, dataset_dir, capsys):
+    manifest = str(dataset_dir / "manifest.json")
+    assert main(["sweep", "--dataset", manifest, "--out", str(tmp_path / "sw"), *TINY_SETS,
+                 "--grid", "preprocess=minmax,none"]) == 0
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["minmax", "none"]
+    for row in rows:
+        setting, *metrics = row.split(",")
+        out = tmp_path / setting
+        assert main(["train", "--dataset", manifest, "--out", str(out), *TINY_SETS,
+                     "--set", f"preprocess={setting}"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.tmcn"),
+                     "--dataset", manifest]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [float(m) for m in metrics] == [payload[k] for k in ("acc", "nmi", "pur")]
+    assert rows[0].split(",")[1:] != rows[1].split(",")[1:]
+
+
 def test_run_manifests_share_one_layout(tmp_path, dataset_dir):
     base = ["--dataset", str(dataset_dir / "manifest.json"), *TINY_SETS,
             "--set", "pretrain_epochs=1", "--set", "joint_epochs=1"]
@@ -317,7 +383,7 @@ def test_run_manifests_share_one_layout(tmp_path, dataset_dir):
         out = tmp_path / command
         assert main([command, *base, "--out", str(out), *extra]) == 0
         runs[command] = json.loads((out / "run.json").read_text())
-    layout = {"tool_version", "command", "config", "dataset", "normalize", "outputs"}
+    layout = {"tool_version", "command", "config", "dataset", "outputs"}
     assert set(runs["train"]) == set(runs["ablate"]) == layout
     assert set(runs["sweep"]) == layout | {"grid"}
     configs = [TrainConfig(**run["config"]) for run in runs.values()]

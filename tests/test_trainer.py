@@ -1,9 +1,12 @@
 """Trainer tests: determinism, modes, history schema, checkpoints, evaluation."""
 
+import json
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
-from helpers import set_checkpoint_scalar
+from helpers import DROP, set_checkpoint_field
 from tmcn.clustering import accuracy
 from tmcn.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from tmcn.tensor import Tensor, parameter
@@ -16,8 +19,8 @@ from tmcn.trainer import (
     TrainConfig,
     TrainingDiverged,
     _batches,
+    _read_checkpoint,
     evaluate,
-    load_checkpoint_blobs,
     load_model,
     run_ablation,
     save_checkpoint,
@@ -321,10 +324,10 @@ def test_checkpoint_round_trip_preserves_evaluation_exactly(tmp_path):
     ds = _tiny_dataset()
     model, _ = train(_tiny_config(), ds)
     path = tmp_path / "model.tmcn"
-    save_checkpoint(model, path, extra={"normalized": 1.0})
-    loaded, extra = load_model(path)
-    assert extra == {"normalized": 1.0}
+    save_checkpoint(model, path)
+    loaded = load_model(path)
     assert loaded.config.mode == "full"
+    assert loaded.config.preprocess == "minmax"
     assert loaded.view_dims == model.view_dims
     before = model.fused_embedding(ds.views)
     after = loaded.fused_embedding(ds.views)
@@ -339,10 +342,30 @@ def test_checkpoint_mode_round_trip(tmp_path):
     ds = _tiny_dataset()
     model, _ = train(_tiny_config(mode="no-tmfn"), ds)
     path = save_checkpoint(model, tmp_path / "m.tmcn")
-    loaded, extra = load_model(path)
+    loaded = load_model(path)
     assert loaded.config.mode == "no-tmfn"
     assert loaded.fusion is None
-    assert extra == {}
+
+
+@pytest.mark.parametrize("hidden_dims", [(7, 3), ()], ids=["7,3", "none"])
+def test_checkpoint_header_round_trips_every_model_config_field(tmp_path, hidden_dims):
+    config = ModelConfig(hidden_dims=hidden_dims, seq_len=3, seq_dim=5, expand_factor=3,
+                         state_size=4, conv_width=3, proj_dim=6, mode="no-ascl",
+                         preprocess="none")
+    for f in fields(ModelConfig):  # a new field must be set here too
+        assert getattr(config, f.name) != f.default, f.name
+    model = TmcnModel([5, 4, 2], config, seed=3)
+    loaded = load_model(save_checkpoint(model, tmp_path / "m.tmcn"))
+    assert asdict(loaded.config) == asdict(config)
+    assert loaded.view_dims == [5, 4, 2]
+    assert _params_equal(loaded.params(), model.params())
+
+
+def test_checkpoint_header_takes_numpy_integers(tmp_path):
+    config = ModelConfig(hidden_dims=(4,), seq_len=np.int64(2), seq_dim=np.int32(2),
+                         state_size=2, proj_dim=4)
+    loaded = load_model(save_checkpoint(TmcnModel([3, 2], config), tmp_path / "m.tmcn"))
+    assert asdict(loaded.config) == asdict(config)
 
 
 def test_checkpoint_header_and_errors(tmp_path):
@@ -351,7 +374,13 @@ def test_checkpoint_header_and_errors(tmp_path):
     path = save_checkpoint(model, tmp_path / "m.tmcn")
     raw = path.read_bytes()
     assert raw[:4] == b"TMCN"
-    assert int.from_bytes(raw[4:8], "little") == 1
+    assert int.from_bytes(raw[4:8], "little") == 2
+    size = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + size].decode("utf-8"))
+    assert list(header) == sorted(header)
+    assert header == {"view_dims": [5, 4], "hidden_dims": [8], "seq_len": 2, "seq_dim": 2,
+                      "expand_factor": 2, "state_size": 2, "conv_width": 2, "proj_dim": 8,
+                      "mode": "full", "preprocess": "minmax"}
 
     bad = tmp_path / "bad.tmcn"
     bad.write_bytes(b"NOPE" + raw[4:])
@@ -363,22 +392,62 @@ def test_checkpoint_header_and_errors(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         load_model(truncated)
 
-    versioned = tmp_path / "v9.tmcn"
-    versioned.write_bytes(raw[:4] + (9).to_bytes(4, "little") + raw[8:])
-    with pytest.raises(ValueError, match="version"):
-        load_model(versioned)
+    for version in (1, 9):
+        versioned = tmp_path / f"v{version}.tmcn"
+        versioned.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+            load_model(versioned)
+
+    garbled = tmp_path / "garbled.tmcn"
+    garbled.write_bytes(raw[:12] + b"\xff" * size + raw[12 + size:])
+    with pytest.raises(ValueError, match="header is not UTF-8 JSON"):
+        load_model(garbled)
 
 
-@pytest.mark.parametrize("blob, value, match", [
-    ("meta.mode", 7, "meta.mode"), ("meta.mode", -1, "meta.mode"),
-    ("meta.mode", 1.5, "meta.mode"), ("meta.mode", 1, "fusion"),
-    ("meta.seq_len", 1e12, r"meta\.\* blobs"),
-], ids=["7-meta.mode", "-1-meta.mode", "1.5-meta.mode", "1-fusion", "1e12-meta.seq_len"])
-def test_checkpoint_metadata_must_fit_the_model(tmp_path, blob, value, match):
+@pytest.mark.parametrize("length", ["header", "name", "ndim", "shape"])
+def test_checkpoint_lengths_past_the_end_are_truncation(tmp_path, length):
     ds = _tiny_dataset()
     model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), ds)
     path = save_checkpoint(model, tmp_path / "m.tmcn")
-    set_checkpoint_scalar(path, blob, value)
+    raw = bytearray(path.read_bytes())
+    blob = 12 + int.from_bytes(raw[8:12], "little")      # the first blob
+    name_len = int.from_bytes(raw[blob:blob + 4], "little")
+    at = {"header": 8, "name": blob, "ndim": blob + 4 + name_len,
+          "shape": blob + 8 + name_len}[length]
+    raw[at:at + 4] = (2**32 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checkpoint truncated"):
+        load_model(path)
+
+
+# the first five ids keep the names of the v1 metadata cases they port
+@pytest.mark.parametrize("field, value, match", [
+    ("mode", 7, "mode must be one of"),
+    ("mode", -1, "mode must be one of"),
+    ("mode", 1.5, "mode must be one of"),
+    ("mode", "no-tmfn", r"stray \['fusion\."),
+    ("seq_len", 10**12, "too large to build"),
+    ("mode", "everything", "mode must be one of"),
+    ("preprocess", "rms", "preprocess must be one of"),
+    ("seq_len", -1, "field seq_len must hold integers >= 1, got -1"),
+    ("state_size", 1.5, "field state_size must hold integers >= 1, got 1.5"),
+    ("conv_width", True, "field conv_width must hold integers >= 1, got true"),
+    ("proj_dim", float("nan"), "field proj_dim must hold integers >= 1, got NaN"),
+    ("hidden_dims", [8, True], r"field hidden_dims must hold integers >= 1, got \[8, true\]"),
+    ("hidden_dims", "8", "field hidden_dims must hold integers >= 1"),
+    ("view_dims", [], r"field view_dims must hold integers >= 1, got \[\]"),
+    ("view_dims", [5, 0], "field view_dims must hold integers >= 1"),
+    ("seq_dim", DROP, r"missing \['seq_dim'\], unknown \[\]"),
+    ("bogus", 1, r"missing \[\], unknown \['bogus'\]"),
+], ids=["7-meta.mode", "-1-meta.mode", "1.5-meta.mode", "1-fusion", "1e12-meta.seq_len",
+        "unknown-mode", "unknown-preprocess", "-1-seq_len", "1.5-state_size",
+        "true-conv_width", "nan-proj_dim", "true-hidden_dims", "str-hidden_dims",
+        "empty-view_dims", "0-view_dims", "missing-field", "extra-field"])
+def test_checkpoint_metadata_must_fit_the_model(tmp_path, field, value, match):
+    ds = _tiny_dataset()
+    model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), ds)
+    path = save_checkpoint(model, tmp_path / "m.tmcn")
+    set_checkpoint_field(path, field, value)
     with pytest.raises(ValueError, match=match):
         load_model(path)
 
@@ -387,8 +456,9 @@ def test_checkpoint_blobs_are_named_and_typed(tmp_path):
     ds = _tiny_dataset()
     model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), ds)
     path = save_checkpoint(model, tmp_path / "m.tmcn")
-    blobs = load_checkpoint_blobs(path)
-    assert "meta.view_dims" in blobs
+    header, blobs = _read_checkpoint(path)
+    assert header["view_dims"] == [5, 4]
+    assert list(blobs) == list(model.params())
     assert "view0.encoder.layer0.weight" in blobs
     assert "fusion.ssm.a_log" in blobs
     assert "heads.fused.weight" in blobs
