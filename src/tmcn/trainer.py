@@ -429,7 +429,6 @@ def _write_blob(f, name: str, arr: np.ndarray) -> None:
 def save_checkpoint(model: TmcnModel, path) -> Path:
     """Write magic, uint32 version, uint32 header length, the UTF-8 JSON header
     (``view_dims`` and every ``ModelConfig`` field), then every parameter blob."""
-    path = Path(path)
     header = {"view_dims": model.view_dims}
     header.update((f.name, getattr(model.config, f.name)) for f in fields(ModelConfig))
     encoded = json.dumps(header, sort_keys=True, default=int).encode("utf-8")  # numpy ints
@@ -439,7 +438,7 @@ def save_checkpoint(model: TmcnModel, path) -> Path:
         f.write(encoded)
         for name, p in model.params().items():
             _write_blob(f, name, p.data)
-    return path
+    return Path(path)
 
 
 def _read_checkpoint(path) -> tuple[object, dict[str, np.ndarray]]:
@@ -462,8 +461,9 @@ def _read_checkpoint(path) -> tuple[object, dict[str, np.ndarray]]:
     version = uint()
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    start = take(uint())
     try:
-        header = json.loads(raw[take(uint()):at].decode("utf-8"))
+        header = json.loads(raw[start:at].decode("utf-8"))
     except ValueError as e:
         raise ValueError(f"checkpoint header is not UTF-8 JSON: {e}") from None
     blobs: dict[str, np.ndarray] = {}

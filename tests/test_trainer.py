@@ -416,7 +416,7 @@ def test_checkpoint_lengths_past_the_end_are_truncation(tmp_path, length):
           "shape": blob + 8 + name_len}[length]
     raw[at:at + 4] = (2**32 - 1).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="checkpoint truncated"):
+    with pytest.raises(ValueError, match="^checkpoint truncated$"):
         load_model(path)
 
 
