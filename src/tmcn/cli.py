@@ -78,28 +78,27 @@ def _parse_field(name: str, raw: str):
         raise CliError(f"cannot parse {raw!r} as a value for {field}") from None
 
 
-def _load_config(path: str | None, sets: list[str], mode: str | None,
-                 seed: int | None) -> TrainConfig:
+def _load_config(args) -> TrainConfig:
     values: dict = {}
-    if path:
+    if args.config:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        read = parser.read(args.config)
         if not read:
-            raise CliError(f"config file not found: {path}")
+            raise CliError(f"config file not found: {args.config}")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 field, value = _parse_field(key, raw)
                 values[field] = value
-    for pair in sets or []:
+    for pair in args.set:
         if "=" not in pair:
             raise CliError(f"--set expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         field, value = _parse_field(key.strip(), raw.strip())
         values[field] = value
-    if mode is not None:
-        values["mode"] = mode
-    if seed is not None:
-        values["seed"] = seed
+    if getattr(args, "mode", None) is not None:
+        values["mode"] = args.mode
+    if args.seed is not None:
+        values["seed"] = args.seed
     try:
         return TrainConfig(**values)
     except (TypeError, ValueError) as e:
@@ -115,9 +114,8 @@ def _preprocess(config, dataset):
     return normalize_views(dataset) if config.preprocess == "minmax" else dataset
 
 
-def _start_run(args, command: str, outputs: dict, mode: str | None = None, **extra):
-    """Resolve the config, load the raw dataset and write ``run.json`` into ``--out``."""
-    config = _load_config(args.config, args.set, mode, args.seed)
+def _start_run(args, config, command: str, outputs: dict, **extra):
+    """Load the raw dataset and write ``run.json`` with ``config`` into ``--out``."""
     dataset = load_dataset(args.dataset)
     fingerprint = dataset_fingerprint(args.dataset)
     out = Path(args.out)
@@ -130,7 +128,7 @@ def _start_run(args, command: str, outputs: dict, mode: str | None = None, **ext
         "outputs": outputs,
         **extra,
     })
-    return config, dataset, out
+    return dataset, out
 
 
 def _load_trained(args):
@@ -159,9 +157,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, dataset, out = _start_run(
-        args, "train", {"checkpoint": "checkpoint.tmcn", "history": "history.csv"},
-        mode=args.mode)
+    config = _load_config(args)
+    dataset, out = _start_run(
+        args, config, "train", {"checkpoint": "checkpoint.tmcn", "history": "history.csv"})
     model, history = train(config, _preprocess(config, dataset))
     history.write_csv(out / "history.csv")
     save_checkpoint(model, out / "checkpoint.tmcn")
@@ -198,7 +196,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config, dataset, out = _start_run(args, "ablate", {"table": "ablation.csv"})
+    config = _load_config(args)
+    dataset, out = _start_run(args, config, "ablate", {"table": "ablation.csv"})
     result = run_ablation(config, _preprocess(config, dataset))
     with open(out / "ablation.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -223,15 +222,23 @@ def cmd_sweep(args) -> int:
         grids.append((name.strip(), values))
     if not grids:
         raise CliError("sweep needs at least one --grid")
-    config, dataset, out = _start_run(args, "sweep", {"table": "sweep.csv"},
-                                      grid={name: values for name, values in grids})
+    config = _load_config(args)
     names = [name for name, _ in grids]
     fields = [_canonical_field(name) for name in names]
+    # every cell is checked before the first one trains
+    cells = []
+    for combo in itertools.product(*(values for _, values in grids)):
+        try:
+            cells.append((combo, replace(config, **dict(zip(fields, combo)))))
+        except (TypeError, ValueError) as e:
+            cell = ", ".join(f"{name}={value}" for name, value in zip(names, combo))
+            raise CliError(f"invalid configuration in grid cell {cell}: {e}") from None
+    dataset, out = _start_run(args, config, "sweep", {"table": "sweep.csv"},
+                              grid={name: values for name, values in grids})
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(names + ["acc", "nmi", "pur"])
-        for combo in itertools.product(*(values for _, values in grids)):
-            cfg = replace(config, **dict(zip(fields, combo)))
+        for combo, cfg in cells:
             scaled = _preprocess(cfg, dataset)  # per cell, since preprocess may be swept
             model, _history = train(cfg, scaled)
             result = evaluate(model, scaled, k=cfg.n_clusters, seed=config.seed)

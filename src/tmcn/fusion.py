@@ -3,7 +3,9 @@
 The input is the concatenation of the flat view embeddings, (N, M*l*d).
 Read row-major, that vector already is the token sequence: token t of
 view m is token m*l + t, so each sample is one length L = M*l sequence
-of d-dimensional tokens.  Two position-wise branches expand tokens to
+of d-dimensional tokens.  The block reshapes the input to (N, L, d) once
+and keeps every intermediate token-major, (N, L, width), until it
+reshapes the output back.  Two position-wise branches expand tokens to
 width dp = d * expand_factor; the first runs through a causal depthwise
 convolution, a SiLU, and an input-dependent state-space recurrence
 scanned left to right; the second gates the scan output through a SiLU.
@@ -41,7 +43,6 @@ from .tensor import (
     silu,
     softplus,
     state_scan,
-    transpose,
 )
 
 if TYPE_CHECKING:  # trainer imports this module
@@ -63,29 +64,27 @@ class MambaParams:
 def selective_scan(x: Tensor, params: MambaParams) -> Tensor:
     """Left-to-right input-dependent recurrence over a (N, L, dp) sequence.
 
-    The delta, B and C projections run as ordinary taped ops; the
-    recurrence itself is the fused ``state_scan`` kernel.  It holds the
-    state as (rows, n, dp), channels innermost, and sweeps the rows in
-    blocks of 64 (``tensor.SCAN_BLOCK_ROWS``).  Its backward pass replays
-    each block's states from sqrt(L)-spaced checkpoints instead of taping
-    every step, so beyond the checkpoints it holds O(sqrt(L)) state slabs
-    of one row block.
+    The delta, B and C projections are taped ``matmul`` calls straight on
+    the (N, L, dp) tokens; the recurrence itself is the fused
+    ``state_scan`` kernel.  It holds the state as (rows, n, dp), channels
+    innermost, and sweeps the rows in blocks of 64
+    (``tensor.SCAN_BLOCK_ROWS``).  Its backward pass replays each block's
+    states from sqrt(L)-spaced checkpoints instead of taping every step,
+    so beyond the checkpoints it holds O(sqrt(L)) state slabs of one row
+    block.
 
     Raises on a non-finite state, naming the earliest offending step.
     """
     if x.ndim != 3:
         raise ShapeError(f"selective-scan: expected (N, L, dp), got {x.shape}")
-    n, length, dp = x.shape
-    state = params.a_log.shape[1]
-    if params.a_log.shape != (dp, state):
+    dp = x.shape[2]
+    if params.a_log.ndim != 2 or params.a_log.shape[0] != dp:
         raise ShapeError(f"selective-scan: a_log shape {params.a_log.shape} "
                          f"does not match input width {dp}")
 
-    flat = reshape(x, (n * length, dp))
-    delta = reshape(softplus(add(matmul(flat, params.delta_proj), params.delta_bias)),
-                    (n, length, dp))
-    b_seq = reshape(matmul(flat, params.b_proj), (n, length, state))
-    c_seq = reshape(matmul(flat, params.c_proj), (n, length, state))
+    delta = softplus(add(matmul(x, params.delta_proj), params.delta_bias))
+    b_seq = matmul(x, params.b_proj)
+    c_seq = matmul(x, params.c_proj)
     decay = mul(exp(params.a_log), Tensor(-1.0))  # A = -exp(a_log), kept negative
     return state_scan(x, delta, b_seq, c_seq, decay, params.skip)
 
@@ -133,15 +132,13 @@ class SelectiveFusion:
     def forward(self, u: Tensor) -> Tensor:
         """Fuse the concatenated view embeddings (N, M*l*d) into a vector of that shape."""
         d = self.config.seq_dim
-        dp = d * self.config.expand_factor
         length = self.n_views * self.config.seq_len
         if u.ndim != 2 or u.shape[1] != length * d:
             raise ShapeError(f"fusion: expected (N, {length * d}), got {u.shape}")
         n = u.shape[0]
-        tokens = reshape(u, (n * length, d))
-        p = reshape(self.branch_p(tokens), (n, length, dp))
-        causal = silu(conv1d_depthwise(transpose(p), self.kernel))  # channels-first
-        scanned = reshape(selective_scan(transpose(causal), self.ssm), (n * length, dp))
+        tokens = reshape(u, (n, length, d))
+        causal = silu(conv1d_depthwise(self.branch_p(tokens), self.kernel))
+        scanned = selective_scan(causal, self.ssm)
         gated = mul(scanned, silu(self.branch_q(tokens)))
         return reshape(self.contract(gated), (n, length * d))
 

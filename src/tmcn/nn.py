@@ -16,7 +16,7 @@ def init_affine(fan_in: int, fan_out: int, rng: np.random.Generator):
 
 
 class Affine:
-    """Single dense layer y = x @ w + b."""
+    """Single dense layer y = x @ w + b, applied along the last axis of x."""
 
     def __init__(self, w: Tensor, b: Tensor):
         self.w = w
@@ -31,8 +31,8 @@ class Affine:
         return self.w.shape[0]
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"affine: expected input (N, {self.in_dim}), got {x.shape}")
+        if x.ndim < 1 or x.shape[-1] != self.in_dim:
+            raise ShapeError(f"affine: expected input (..., {self.in_dim}), got {x.shape}")
         return add(matmul(x, self.w), self.b)
 
     def params(self, prefix: str) -> dict[str, Tensor]:

@@ -99,9 +99,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self):
-        return transpose(self)
-
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -218,14 +215,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # binary ops
 
 def matmul(a, b) -> Tensor:
+    """``a`` (..., K) times ``b`` (K, M), one GEMM over the rows of ``a``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
+    rows = a.data.reshape(-1, b.shape[0])
+    data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        g = g.reshape(-1, b.shape[1])
+        _accum(a, (g @ b.data.T).reshape(a.shape))
+        _accum(b, rows.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -284,19 +284,6 @@ def reshape(a, shape) -> Tensor:
 
     def backward(g):
         _accum(a, g.reshape(old))
-
-    return _make(data, (a,), backward)
-
-
-def transpose(a) -> Tensor:
-    """Swap the last two axes; defined for 2-D and batched 3-D tensors."""
-    a = _as_tensor(a)
-    if a.ndim not in (2, 3):
-        raise ShapeError(f"transpose: expected a 2-D or 3-D tensor, got shape {a.shape}")
-    data = np.swapaxes(a.data, -1, -2)
-
-    def backward(g):
-        _accum(a, np.swapaxes(g, -1, -2))
 
     return _make(data, (a,), backward)
 
@@ -461,30 +448,30 @@ def cosine_similarity_matrix(a, b) -> Tensor:
 # depthwise causal convolution
 
 def conv1d_depthwise(x, kernel) -> Tensor:
-    """Per-channel causal convolution along the last axis.
+    """Per-channel causal convolution along the token axis.
 
-    ``x`` is (N, C, L), ``kernel`` is (C, k); tap j multiplies the input
-    j steps in the past, so kernel [1, 0, ...] is the identity and no
-    output position sees the future.
+    ``x`` is token-major (N, L, C), ``kernel`` is (C, k); tap j multiplies
+    the input j tokens in the past, so kernel [1, 0, ...] is the identity
+    and no output token sees the future.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.ndim != 3 or kernel.ndim != 2 or kernel.shape[0] != x.shape[1]:
+    if x.ndim != 3 or kernel.ndim != 2 or kernel.shape[0] != x.shape[2]:
         raise ShapeError(
-            f"conv1d-depthwise: expected x (N, C, L) with kernel (C, k), "
+            f"conv1d-depthwise: expected x (N, L, C) with kernel (C, k), "
             f"got {x.shape} and {kernel.shape}")
     k = kernel.shape[1]
-    length = x.shape[2]
+    length = x.shape[1]
     w = kernel.data
     data = np.zeros_like(x.data)
     for j in range(min(k, length)):
-        data[..., j:] += w[:, j][None, :, None] * x.data[..., :length - j]
+        data[:, j:] += w[:, j] * x.data[:, :length - j]
 
     def backward(g):
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w)
         for j in range(min(k, length)):
-            gx[..., :length - j] += w[:, j][None, :, None] * g[..., j:]
-            gw[:, j] = np.einsum("ncl,ncl->c", g[..., j:], x.data[..., :length - j])
+            gx[:, :length - j] += w[:, j] * g[:, j:]
+            gw[:, j] = np.einsum("nlc,nlc->c", g[:, j:], x.data[:, :length - j])
         _accum(x, gx)
         _accum(kernel, gw)
 

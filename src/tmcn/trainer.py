@@ -49,6 +49,10 @@ CHECKPOINT_MAGIC = b"TMCN"
 CHECKPOINT_VERSION = 2
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class TrainingDiverged(ArithmeticError):
     """A loss term went non-finite mid-run."""
 
@@ -72,16 +76,18 @@ class ModelConfig:
     preprocess: str = "minmax"
 
     def __post_init__(self):
+        # floats and bools are refused, not truncated; numpy integers pass
+        if not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims widths must be integers >= 1, got {self.hidden_dims}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         for name, choices in (("mode", MODES), ("preprocess", PREPROCESSING)):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "
                                  f"got {getattr(self, name)!r}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims widths must be >= 1, got {self.hidden_dims}")
         for f in fields(ModelConfig):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "int" and not (_is_int(value) and value >= 1):
+                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -274,9 +280,7 @@ class TrainHistory:
             w = csv.writer(f)
             w.writerow(HISTORY_COLUMNS)
             for r in self.records:
-                w.writerow([r.epoch, r.phase, cell(r.total_loss), cell(r.rec_loss),
-                            cell(r.ascl_loss), cell(r.clamp_frac), cell(r.acc),
-                            cell(r.nmi), cell(r.pur)])
+                w.writerow([cell(getattr(r, c)) for c in HISTORY_COLUMNS])
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def check_grads(build_fn, leaves, rtol=1e-5, h=1e-6, seed=0):
 OP_KINDS = (
     "add", "clamp-min", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
     "elementwise-mul", "exp", "log", "matmul", "reshape", "scalar-mul", "silu",
-    "softplus", "square", "state-scan", "sub", "sum", "transpose",
+    "softplus", "square", "state-scan", "sub", "sum",
 )
 
 
@@ -92,7 +92,9 @@ def op_grad_case(kind, rng):
     """
     normal = lambda *shape: parameter(rng.normal(size=shape))
     if kind == "matmul":
-        leaves = [normal(3, 4), normal(4, 2)]
+        # a batched (..., K) left operand half the time
+        shape = (3, 4) if rng.integers(2) else (2, 3, 4)
+        leaves = [normal(*shape), normal(4, 2)]
         return leaves, lambda: T.matmul(*leaves)
     if kind in ("add", "sub", "elementwise-mul"):
         # one broadcast operand so the unbroadcast path is on the hook too
@@ -108,10 +110,6 @@ def op_grad_case(kind, rng):
     if kind == "concat":
         leaves = [normal(2, 3), normal(2, 2), normal(2, 4)]
         return leaves, lambda: T.concat(leaves, axis=1)
-    if kind == "transpose":
-        shape = (3, 4) if rng.integers(2) else (2, 3, 4)
-        leaves = [normal(*shape)]
-        return leaves, lambda: T.transpose(leaves[0])
     if kind == "sum":
         axis = [None, 0, 1][int(rng.integers(3))]
         leaves, keepdims = [normal(3, 4)], bool(rng.integers(2))
@@ -135,7 +133,7 @@ def op_grad_case(kind, rng):
         return leaves, lambda: T.cosine_similarity_matrix(*leaves)
     if kind == "conv1d-depthwise":
         k = [2, 4, 7][int(rng.integers(3))]  # 7 > L exercises the short-input path
-        leaves = [normal(2, 3, 5), normal(3, k)]
+        leaves = [normal(2, 5, 3), normal(3, k)]
         return leaves, lambda: T.conv1d_depthwise(*leaves)
     if kind == "state-scan":
         # delta positive and decay rates negative, the recurrence's domain

@@ -400,6 +400,24 @@ def test_sweep_rejects_zero_clusters(tmp_path, dataset_dir, capsys):
     assert err.startswith("error:") and "n_clusters" in err
 
 
+@pytest.mark.parametrize("grid, cell, reason", [
+    ("d=4,0", "d=0", "seq_dim must be an integer >= 1, got 0"),
+    ("preprocess=minmax,rms", "preprocess=rms", "preprocess must be one of"),
+])
+def test_sweep_checks_every_cell_before_training(tmp_path, dataset_dir, capsys,
+                                                 grid, cell, reason):
+    out = tmp_path / "sw"
+    code = main(["sweep", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(out), *TINY_SETS, "--grid", grid])
+    assert code == 1
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: invalid configuration in grid cell {cell}: {reason}")
+    assert captured.out == ""
+    assert not out.exists()  # neither run.json nor a sweep.csv row
+
+
 def test_sweep_without_grid_is_an_error(tmp_path, dataset_dir, capsys):
     code = main(["sweep", "--dataset", str(dataset_dir / "manifest.json"),
                  "--out", str(tmp_path)])

@@ -14,7 +14,7 @@ from helpers import (
     op_grad_case,
 )
 from tmcn import tensor
-from tmcn.nn import Mlp
+from tmcn.nn import Affine, Mlp
 from tmcn.tensor import (
     EPS,
     ShapeError,
@@ -29,7 +29,6 @@ from tmcn.tensor import (
     parameter,
     silu,
     softplus,
-    transpose,
 )
 
 
@@ -81,15 +80,6 @@ def test_reshape_round_trip():
     assert np.array_equal(back.data, x.data)
 
 
-def test_transpose_is_an_involution():
-    rng = np.random.default_rng(2)
-    for shape in [(3, 5), (2, 3, 5)]:
-        x = Tensor(rng.normal(size=shape))
-        assert np.array_equal(transpose(transpose(x)).data, x.data)
-    x3 = Tensor(rng.normal(size=(2, 3, 5)))
-    assert transpose(x3).shape == (2, 5, 3)
-
-
 def test_slice_concat_reassembles():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(3, 7)))
@@ -119,13 +109,11 @@ def test_shape_errors_name_op_and_shapes():
         a.reshape(5, 5)
     assert "reshape" in str(err.value)
     with pytest.raises(ShapeError):
-        transpose(Tensor(np.zeros(4)))
-    with pytest.raises(ShapeError):
         concat([a, Tensor(np.zeros((2, 2)))], axis=1)
     with pytest.raises(ShapeError):
         cosine_similarity_matrix(a, Tensor(np.zeros((3, 5))))
     with pytest.raises(ShapeError):
-        conv1d_depthwise(Tensor(np.zeros((2, 3, 5))), Tensor(np.zeros((4, 2))))
+        conv1d_depthwise(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((4, 2))))
 
 
 def test_catalog_is_exactly_the_published_kinds():
@@ -142,7 +130,7 @@ def test_catalog_is_exactly_the_published_kinds():
 
 def test_conv_identity_kernel_is_identity():
     rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(2, 3, 8)))
+    x = Tensor(rng.normal(size=(2, 8, 3)))
     kernel = np.zeros((3, 4))
     kernel[:, 0] = 1.0
     out = conv1d_depthwise(x, Tensor(kernel))
@@ -151,15 +139,15 @@ def test_conv_identity_kernel_is_identity():
 
 def test_conv_never_reads_the_future():
     rng = np.random.default_rng(7)
-    base = rng.normal(size=(1, 2, 10))
+    base = rng.normal(size=(1, 10, 2))
     kernel = Tensor(rng.normal(size=(2, 4)))
     out_base = conv1d_depthwise(Tensor(base), kernel).data
     for t0 in [3, 7]:
         bumped = base.copy()
-        bumped[0, :, t0] += 5.0
+        bumped[0, t0] += 5.0
         out_bumped = conv1d_depthwise(Tensor(bumped), kernel).data
-        assert np.array_equal(out_bumped[..., :t0], out_base[..., :t0])
-        assert not np.allclose(out_bumped[..., t0], out_base[..., t0])
+        assert np.array_equal(out_bumped[:, :t0], out_base[:, :t0])
+        assert not np.allclose(out_bumped[:, t0], out_base[:, t0])
 
 
 def test_conv_matches_loop_reference():
@@ -167,10 +155,11 @@ def test_conv_matches_loop_reference():
     for _ in range(10):
         n, c, length = (int(v) for v in rng.integers(1, 6, size=3))
         k = int(rng.integers(1, 8))  # sometimes wider than the sequence
-        x = rng.normal(size=(n, c, length))
+        x = rng.normal(size=(n, length, c))
         w = rng.normal(size=(c, k))
         got = conv1d_depthwise(Tensor(x), Tensor(w)).data
-        assert np.allclose(got, conv_causal_reference(x, w), atol=1e-12)
+        want = np.swapaxes(conv_causal_reference(np.swapaxes(x, 1, 2), w), 1, 2)
+        assert np.allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +255,30 @@ def test_op_gradients_match_finite_differences(kind):
     for _ in range(6):
         leaves, build = op_grad_case(kind, rng)
         check_grads(build, leaves, rtol=1e-5)
+
+
+def test_affine_maps_the_last_axis_like_the_flattened_rows():
+    # one GEMM over the flattened rows either way, so the bits agree
+    rng = np.random.default_rng(13)
+    layer = Affine.init(4, 3, rng)
+    layer.b.data = rng.normal(size=3)
+    x = rng.normal(size=(2, 5, 4))
+    probe = rng.normal(size=(2, 5, 3))
+    outs, grads = [], []
+    for shape in [(2, 5, 4), (10, 4)]:
+        xt = parameter(x.reshape(shape))
+        layer.w.grad = None
+        with Tape() as tape:
+            out = layer(xt)
+            tape.backward((out * Tensor(probe.reshape(out.shape))).sum())
+        outs.append(out.data)
+        grads.append((xt.grad, layer.w.grad))
+    assert outs[0].shape == (2, 5, 3)
+    assert np.array_equal(outs[0], outs[1].reshape(2, 5, 3))
+    assert np.array_equal(grads[0][0], grads[1][0].reshape(2, 5, 4))
+    assert np.array_equal(grads[0][1], grads[1][1])
+    with pytest.raises(ShapeError, match=r"affine: expected input \(\.\.\., 4\)"):
+        layer(Tensor(np.zeros((2, 5, 3))))
 
 
 def test_three_layer_mlp_gradients():

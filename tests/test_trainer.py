@@ -66,6 +66,16 @@ def test_config_validation():
         _tiny_config(n_clusters=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seq_len", 2.5), ("seq_len", 2.0), ("seq_len", True), ("seq_dim", 4.0),
+    ("expand_factor", False), ("state_size", 3.5), ("conv_width", True),
+    ("proj_dim", 8.0), ("hidden_dims", (2.7,)), ("hidden_dims", (8, True)),
+])
+def test_model_config_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} .*must be (an )?integers? >= 1, got"):
+        ModelConfig(**{field: value})
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_model_config_rejects_non_positive_shapes(mode):
     for field in ("seq_len", "seq_dim", "expand_factor", "state_size", "conv_width",
@@ -362,7 +372,7 @@ def test_checkpoint_header_round_trips_every_model_config_field(tmp_path, hidden
 
 
 def test_checkpoint_header_takes_numpy_integers(tmp_path):
-    config = ModelConfig(hidden_dims=(4,), seq_len=np.int64(2), seq_dim=np.int32(2),
+    config = ModelConfig(hidden_dims=(np.int64(4),), seq_len=np.int64(2), seq_dim=np.int32(2),
                          state_size=2, proj_dim=4)
     loaded = load_model(save_checkpoint(TmcnModel([3, 2], config), tmp_path / "m.tmcn"))
     assert asdict(loaded.config) == asdict(config)
