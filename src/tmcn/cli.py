@@ -114,9 +114,14 @@ def _preprocess(config, dataset):
     return normalize_views(dataset) if config.preprocess == "minmax" else dataset
 
 
-def _start_run(args, config, command: str, outputs: dict, **extra):
-    """Load the raw dataset and write ``run.json`` with ``config`` into ``--out``."""
+def _start_run(args, config, command: str, outputs: dict, labeled: bool = False, **extra):
+    """Load the raw dataset and write ``run.json`` with ``config`` into ``--out``.
+
+    With ``labeled``, a dataset without labels is refused before anything is written.
+    """
     dataset = load_dataset(args.dataset)
+    if labeled and dataset.labels is None:
+        raise CliError(f"{command} needs a labeled dataset")
     fingerprint = dataset_fingerprint(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,7 +202,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    dataset, out = _start_run(args, config, "ablate", {"table": "ablation.csv"})
+    dataset, out = _start_run(args, config, "ablate", {"table": "ablation.csv"}, labeled=True)
     result = run_ablation(config, _preprocess(config, dataset))
     with open(out / "ablation.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -233,7 +238,7 @@ def cmd_sweep(args) -> int:
         except (TypeError, ValueError) as e:
             cell = ", ".join(f"{name}={value}" for name, value in zip(names, combo))
             raise CliError(f"invalid configuration in grid cell {cell}: {e}") from None
-    dataset, out = _start_run(args, config, "sweep", {"table": "sweep.csv"},
+    dataset, out = _start_run(args, config, "sweep", {"table": "sweep.csv"}, labeled=True,
                               grid={name: values for name, values in grids})
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -242,8 +247,6 @@ def cmd_sweep(args) -> int:
             scaled = _preprocess(cfg, dataset)  # per cell, since preprocess may be swept
             model, _history = train(cfg, scaled)
             result = evaluate(model, scaled, k=cfg.n_clusters, seed=config.seed)
-            if result.metrics is None:
-                raise CliError("sweep needs a labeled dataset")
             w.writerow(list(combo) + [_fmt(result.metrics.acc),
                                       _fmt(result.metrics.nmi),
                                       _fmt(result.metrics.pur)])

@@ -157,6 +157,43 @@ def save_dataset(dataset: MultiViewDataset, out_dir) -> Path:
     return path
 
 
+def _check_manifest(manifest, where: str) -> None:
+    """Refuse a manifest whose keys or value types break the format, before any file is read."""
+    def bad(key, expected, value):
+        return DataFormatError(f"{where}: {key} must be {expected}, got {value!r}")
+
+    def count(key, value):
+        # JSON true/false parse as bools, which python counts as ints
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise bad(key, "an integer >= 1", value)
+
+    if not isinstance(manifest, dict):
+        raise bad("the manifest", "a JSON object", manifest)
+    for key in ("name", "n_samples", "views"):
+        if key not in manifest:
+            raise DataFormatError(f"{where}: manifest missing key {key!r}")
+    if not isinstance(manifest["name"], str):
+        raise bad("name", "a string", manifest["name"])
+    count("n_samples", manifest["n_samples"])
+    views = manifest["views"]
+    if not isinstance(views, list) or not views:
+        raise bad("views", "a non-empty list of view objects", views)
+    for m, entry in enumerate(views):
+        if not isinstance(entry, dict):
+            raise bad(f"views[{m}]", "an object with 'file' and 'dim'", entry)
+        for key in ("file", "dim"):
+            if key not in entry:
+                raise DataFormatError(f"{where}: view {m} entry missing key {key!r}")
+        if not isinstance(entry["file"], str):
+            raise bad(f"views[{m}].file", "a string", entry["file"])
+        count(f"views[{m}].dim", entry["dim"])
+    labels_file = manifest.get("labels_file")
+    if labels_file is not None and not isinstance(labels_file, str):
+        raise bad("labels_file", "a string or null", labels_file)
+    if manifest.get("n_clusters") is not None:
+        count("n_clusters", manifest["n_clusters"])
+
+
 def load_dataset(manifest_path) -> MultiViewDataset:
     """Load a dataset from its JSON manifest, validating every header."""
     manifest_path = Path(manifest_path)
@@ -164,22 +201,16 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{manifest_path.name}: invalid JSON manifest ({e})") from None
-    for key in ("name", "n_samples", "views"):
-        if key not in manifest:
-            raise DataFormatError(f"{manifest_path.name}: manifest missing key {key!r}")
+    _check_manifest(manifest, manifest_path.name)
     base = manifest_path.parent
-    n = int(manifest["n_samples"])
+    n = manifest["n_samples"]
     views = []
     for m, entry in enumerate(manifest["views"]):
-        for key in ("file", "dim"):
-            if key not in entry:
-                raise DataFormatError(
-                    f"{manifest_path.name}: view {m} entry missing key {key!r}")
         mat = _read_matrix(base / entry["file"])
         if mat.shape[0] != n:
             raise DataFormatError(
                 f"row-count mismatch: view {m} has {mat.shape[0]} rows, manifest says {n}")
-        if mat.shape[1] != int(entry["dim"]):
+        if mat.shape[1] != entry["dim"]:
             raise DataFormatError(
                 f"view {m}: dim mismatch, file has {mat.shape[1]} cols, manifest says {entry['dim']}")
         views.append(mat)

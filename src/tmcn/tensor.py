@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.special import expit
 
 EPS = 1e-12
 
@@ -107,12 +106,6 @@ class Tensor:
 
     def log(self):
         return log(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def silu(self):
-        return silu(self)
 
     def square(self):
         return square(self)
@@ -346,6 +339,21 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # pointwise ops
 
+def _expit(x) -> np.ndarray:
+    """Logistic sigmoid ``1 / (1 + exp(-x))`` in a new array; ``x`` is not written.
+
+    Computed in place on one copy.  Where ``exp(-x)`` overflows the result
+    is exactly 0, and at -inf and +inf exactly 0 and 1; NaN stays NaN.
+    """
+    out = np.array(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out
+
+
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     data = np.exp(a.data)
@@ -373,14 +381,14 @@ def softplus(a) -> Tensor:
     data = np.logaddexp(0.0, a.data)
 
     def backward(g):
-        _accum(a, g * expit(a.data))
+        _accum(a, g * _expit(a.data))
 
     return _make(data, (a,), backward)
 
 
 def silu(a) -> Tensor:
     a = _as_tensor(a)
-    s = expit(a.data)
+    s = _expit(a.data)
     data = a.data * s
 
     def backward(g):

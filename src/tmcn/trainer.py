@@ -110,14 +110,14 @@ class TrainConfig(ModelConfig):
         super().__post_init__()
         if self.ascl_weight < 0:
             raise ValueError(f"ascl_weight must be >= 0, got {self.ascl_weight}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.pretrain_epochs < 0 or self.joint_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if self.eval_every < 0:
-            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
-        if self.n_clusters is not None and self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        # the run counts refuse floats and bools too; numpy integers pass
+        for name, low in (("batch_size", 2), ("pretrain_epochs", 0), ("joint_epochs", 0),
+                          ("seed", 0), ("eval_every", 0), ("n_clusters", 1)):
+            value = getattr(self, name)
+            if value is None and name == "n_clusters":
+                continue
+            if not (_is_int(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         self.contrastive()  # temperature / mode / floor checks live with the loss config
 
     def contrastive(self) -> ContrastiveConfig:

@@ -1,6 +1,7 @@
 """Command-line tests driven through main(argv) plus one real subprocess."""
 
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -163,6 +164,51 @@ def test_bad_dataset_path_is_a_clean_error(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+MANIFEST_TYPE_CASES = [
+    ((), [1, 2], "the manifest must be a JSON object, got [1, 2]"),
+    (("name",), 5, "name must be a string, got 5"),
+    (("n_samples",), "abc", "n_samples must be an integer >= 1, got 'abc'"),
+    (("n_samples",), True, "n_samples must be an integer >= 1, got True"),
+    (("n_samples",), 24.0, "n_samples must be an integer >= 1, got 24.0"),
+    (("views",), 3, "views must be a non-empty list of view objects, got 3"),
+    (("views",), [], "views must be a non-empty list of view objects, got []"),
+    (("views", 0), 7, "views[0] must be an object with 'file' and 'dim', got 7"),
+    (("views", 0, "file"), 3, "views[0].file must be a string, got 3"),
+    (("views", 1, "dim"), 4.5, "views[1].dim must be an integer >= 1, got 4.5"),
+    (("views", 1, "dim"), False, "views[1].dim must be an integer >= 1, got False"),
+    (("labels_file",), 1, "labels_file must be a string or null, got 1"),
+    (("n_clusters",), "2", "n_clusters must be an integer >= 1, got '2'"),
+    (("n_clusters",), True, "n_clusters must be an integer >= 1, got True"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MANIFEST_TYPE_CASES, ids=[
+    f"{'.'.join(map(str, path)) or 'manifest'}={json.dumps(value)}"
+    for path, value, _ in MANIFEST_TYPE_CASES])
+def test_manifest_of_the_wrong_type_is_a_clean_error(tmp_path, dataset_dir, capsys,
+                                                      path, value, message):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    if path:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc = value
+    (data / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = main(["train", "--dataset", str(data / "manifest.json"), "--out", str(out),
+                 *TINY_SETS])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == \
+        [f"error: manifest.json: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["hidden_dims", "proj_dim"])
@@ -418,6 +464,22 @@ def test_sweep_checks_every_cell_before_training(tmp_path, dataset_dir, capsys,
     assert not out.exists()  # neither run.json nor a sweep.csv row
 
 
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_unlabeled_dataset_is_refused_before_any_output(tmp_path, dataset_dir, capsys, command):
+    labeled = load_dataset(dataset_dir / "manifest.json")
+    unlabeled = save_dataset(MultiViewDataset(views=labeled.views, name="u"), tmp_path / "u")
+    out = tmp_path / "out"
+    grid = ["--grid", "d=2"] if command == "sweep" else []
+    code = main([command, "--dataset", str(unlabeled), "--out", str(out), *TINY_SETS,
+                 "--set", "n_clusters=2", *grid])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == \
+        [f"error: {command} needs a labeled dataset"]
+    assert captured.out == ""
+    assert not (out / "run.json").exists() and not (out / "sweep.csv").exists()
+
+
 def test_sweep_without_grid_is_an_error(tmp_path, dataset_dir, capsys):
     code = main(["sweep", "--dataset", str(dataset_dir / "manifest.json"),
                  "--out", str(tmp_path)])
@@ -451,6 +513,15 @@ def test_export_embeddings_csv(tmp_path, trained_dir, dataset_dir):
 
 # ---------------------------------------------------------------------------
 # process-level entry
+
+def test_import_loads_no_scipy():
+    # the runtime is numpy only; scipy would add most of the start-up time
+    code = ("import sys, tmcn, tmcn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 def test_module_entry_point_reports_version():
     proc = subprocess.run([sys.executable, "-m", "tmcn.cli", "--version"],

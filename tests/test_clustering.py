@@ -234,6 +234,21 @@ def test_accuracy_matches_brute_force_enumeration():
         assert accuracy(pred, truth) == pytest.approx(accuracy_bruteforce(pred, truth))
 
 
+def test_matcher_sum_matches_brute_force_on_random_tables():
+    # contingency tables up to 7 x 7, square or not; small counts make many
+    # ties between bijections, large ones make a single best bijection
+    rng = np.random.default_rng(9)
+    for trial in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 8, size=2))
+        table = rng.integers(0, 3 if trial % 2 else 12, size=(rows, cols))
+        table[-1, -1] += 1          # the last class and cluster occur: the shape holds
+        truth, pred = np.nonzero(table)
+        reps = table[truth, pred]
+        truth, pred = np.repeat(truth, reps), np.repeat(pred, reps)
+        # both divide the best matched count by n, so equal counts give equal floats
+        assert accuracy(pred, truth) == accuracy_bruteforce(pred, truth)
+
+
 def test_nmi_and_purity_match_contingency_references():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -2,6 +2,8 @@
 
 import inspect
 import logging
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tmcn.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    _expit,
     concat,
     conv1d_depthwise,
     cosine_similarity_matrix,
@@ -40,6 +43,39 @@ def test_frozen_pointwise_values():
     assert softplus(Tensor(0.0)).item() == pytest.approx(0.6931471805599453, abs=1e-15)
     assert exp(Tensor(0.0)).item() == 1.0
     assert Tensor(3.0).square().item() == 9.0
+
+
+def test_expit_is_bracketed_by_a_math_exp_reference():
+    # numpy's exp and math.exp may differ by 1 ulp; the rest is the same two
+    # rounded IEEE steps, both monotone, so the result lies between the
+    # reference's values at exp(-x) one ulp up and one ulp down
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.normal(size=3000) * np.repeat([1.0, 8.0, 40.0], 1000),
+                        rng.uniform(-700.0, 700.0, size=1000)])   # exp(700) is finite
+    got = _expit(x)
+    for xi, gi in zip(x.tolist(), got.tolist()):
+        e = math.exp(-xi)
+        assert 1.0 / (1.0 + math.nextafter(e, math.inf)) <= gi \
+            <= 1.0 / (1.0 + math.nextafter(e, 0.0))
+
+
+def test_expit_saturates_exactly_and_passes_nan():
+    x = np.array([-np.inf, -1000.0, 1000.0, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expit(x)
+    assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert np.isnan(got[4])
+
+
+def test_expit_leaves_its_input_and_takes_0d():
+    x = np.random.default_rng(13).normal(size=(3, 4))
+    before = x.copy()
+    out = _expit(x)
+    assert np.array_equal(x, before) and out is not x
+    zero = np.array(0.0)
+    half = _expit(zero)
+    assert half.shape == () and float(half) == 0.5 and float(zero) == 0.0
 
 
 def test_log_clamps_its_argument():

@@ -76,6 +76,23 @@ def test_model_config_refuses_non_integer_counts(field, value):
         ModelConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, low", [
+    ("batch_size", 8.0, 2), ("batch_size", True, 2), ("pretrain_epochs", 1.5, 0),
+    ("joint_epochs", 2.0, 0), ("joint_epochs", -1, 0), ("seed", True, 0), ("seed", 1.0, 0),
+    ("seed", -1, 0), ("eval_every", 2.0, 0), ("n_clusters", True, 1), ("n_clusters", 2.0, 1),
+])
+def test_train_config_refuses_non_integer_run_counts(field, value, low):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {low}, got"):
+        _tiny_config(**{field: value})
+
+
+def test_train_config_run_counts_keep_their_floors_and_take_numpy_integers():
+    config = _tiny_config(pretrain_epochs=0, joint_epochs=0, seed=0, eval_every=0,
+                          n_clusters=None, batch_size=np.int64(2))
+    assert config.batch_size == 2 and config.n_clusters is None
+    assert _tiny_config(n_clusters=np.int32(3), seed=np.uint8(7)).n_clusters == 3
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_model_config_rejects_non_positive_shapes(mode):
     for field in ("seq_len", "seq_dim", "expand_factor", "state_size", "conv_width",
