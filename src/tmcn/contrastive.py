@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_real
 from .nn import Affine
 from .tensor import EPS, ShapeError, Tensor, add, cosine_similarity_matrix, mul
 
@@ -35,12 +36,10 @@ class ContrastiveConfig:
     floor: float = 1e-8       # literal-mode denominator floor
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        check_real("temperature", self.temperature)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.floor <= 0:
-            raise ValueError(f"floor must be positive, got {self.floor}")
+        check_real("floor", self.floor)
 
 
 @dataclass

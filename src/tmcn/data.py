@@ -27,6 +27,22 @@ class DataFormatError(ValueError):
     """A dataset file or manifest violates the on-disk contract."""
 
 
+def check_real(name: str, value, zero_ok: bool = False) -> None:
+    """Refuse a config value that is not a finite number > 0 (>= 0 with ``zero_ok``).
+
+    Ints and numpy floats pass; bools, strings, NaN and infinities fail,
+    and the error names the field and the value.
+    """
+    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        ok = ok and np.isfinite(float(value)) and (value >= 0 if zero_ok else value > 0)
+    except OverflowError:   # an int beyond float range
+        ok = False
+    if not ok:
+        kind = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
+
+
 @dataclass
 class MultiViewDataset:
     """Aligned feature matrices over one sample set, with optional labels.
@@ -310,8 +326,8 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
         raise ValueError(f"need n_samples >= n_clusters >= 1, got {n} and {k}")
     if not spec.view_dims or any(d < 1 for d in spec.view_dims):
         raise ValueError(f"view_dims must be positive, got {spec.view_dims}")
-    if spec.separation <= 0 or spec.noise_std <= 0:
-        raise ValueError("separation and noise_std must be positive")
+    check_real("separation", spec.separation)
+    check_real("noise_std", spec.noise_std)
     rng = np.random.default_rng(spec.seed)
     latent_dim = max(4, k)
     centroids = rng.normal(size=(k, latent_dim)) * spec.separation

@@ -33,7 +33,6 @@ from .nn import Affine
 from .tensor import (
     ShapeError,
     Tensor,
-    add,
     conv1d_depthwise,
     exp,
     matmul,
@@ -65,9 +64,11 @@ def selective_scan(x: Tensor, params: MambaParams) -> Tensor:
     """Left-to-right input-dependent recurrence over a (N, L, dp) sequence.
 
     The delta, B and C projections are taped ``matmul`` calls straight on
-    the (N, L, dp) tokens; the recurrence itself is the fused
-    ``state_scan`` kernel.  It holds the state as (rows, n, dp), channels
-    innermost, and sweeps the rows in blocks of 64
+    the (N, L, dp) tokens, ``delta_bias`` added as the delta projection's
+    bias operand, so the tape keeps one (N, L, dp) array for it before the
+    softplus.  The recurrence itself is the fused ``state_scan`` kernel.
+    It holds the state as (rows, n, dp), channels innermost, and sweeps
+    the rows in blocks of 64
     (``tensor.SCAN_BLOCK_ROWS``).  Its backward pass replays each block's
     states from sqrt(L)-spaced checkpoints instead of taping every step,
     so beyond the checkpoints it holds O(sqrt(L)) state slabs of one row
@@ -82,7 +83,7 @@ def selective_scan(x: Tensor, params: MambaParams) -> Tensor:
         raise ShapeError(f"selective-scan: a_log shape {params.a_log.shape} "
                          f"does not match input width {dp}")
 
-    delta = softplus(add(matmul(x, params.delta_proj), params.delta_bias))
+    delta = softplus(matmul(x, params.delta_proj, params.delta_bias))
     b_seq = matmul(x, params.b_proj)
     c_seq = matmul(x, params.c_proj)
     decay = mul(exp(params.a_log), Tensor(-1.0))  # A = -exp(a_log), kept negative

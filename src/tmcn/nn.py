@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add, matmul, parameter
+from .tensor import ShapeError, Tensor, matmul, parameter
 
 
 def init_affine(fan_in: int, fan_out: int, rng: np.random.Generator):
@@ -16,7 +16,11 @@ def init_affine(fan_in: int, fan_out: int, rng: np.random.Generator):
 
 
 class Affine:
-    """Single dense layer y = x @ w + b, applied along the last axis of x."""
+    """Single dense layer y = x @ w + b, applied along the last axis of x.
+
+    One ``matmul`` with ``b`` as its bias operand: the tape keeps one
+    output-sized array per call, not the product and the sum.
+    """
 
     def __init__(self, w: Tensor, b: Tensor):
         self.w = w
@@ -33,7 +37,7 @@ class Affine:
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim < 1 or x.shape[-1] != self.in_dim:
             raise ShapeError(f"affine: expected input (..., {self.in_dim}), got {x.shape}")
-        return add(matmul(x, self.w), self.b)
+        return matmul(x, self.w, self.b)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.w, f"{prefix}.bias": self.b}

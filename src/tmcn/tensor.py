@@ -207,20 +207,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # binary ops
 
-def matmul(a, b) -> Tensor:
-    """``a`` (..., K) times ``b`` (K, M), one GEMM over the rows of ``a``."""
+def matmul(a, b, bias=None) -> Tensor:
+    """``a`` (..., K) times ``b`` (K, M), one GEMM over the rows of ``a``, plus ``bias`` (M,).
+
+    The bias is added in place to the GEMM output, so a dense layer keeps
+    one output-sized array on the tape, not the product and the sum.  The
+    forward and all gradients are bitwise those of ``add(matmul(a, b), bias)``:
+    the bias gradient is the same ``_unbroadcast`` reduction ``add`` runs.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     rows = a.data.reshape(-1, b.shape[0])
-    data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+    data = rows @ b.data
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != b.shape[1:]:
+            raise ShapeError(f"matmul: bias shape {bias.shape}, expected {b.shape[1:]}")
+        data += bias.data
+    data = data.reshape(a.shape[:-1] + b.shape[1:])
 
     def backward(g):
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape))
         g = g.reshape(-1, b.shape[1])
         _accum(a, (g @ b.data.T).reshape(a.shape))
         _accum(b, rows.T @ g)
 
-    return _make(data, (a, b), backward)
+    return _make(data, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def _broadcast_binary(name, a, b, fwd, da, db) -> Tensor:
@@ -387,11 +401,14 @@ def softplus(a) -> Tensor:
 
 
 def silu(a) -> Tensor:
+    """``a * sigmoid(a)``.  The backward recomputes the sigmoid from ``a``
+    rather than keeping it, so the tape holds only the output; the same ops
+    on the same data give the same bits."""
     a = _as_tensor(a)
-    s = _expit(a.data)
-    data = a.data * s
+    data = a.data * _expit(a.data)
 
     def backward(g):
+        s = _expit(a.data)
         _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
 
     return _make(data, (a,), backward)

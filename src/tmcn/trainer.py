@@ -37,7 +37,7 @@ from .contrastive import (
     project,
     view_similarity,
 )
-from .data import MultiViewDataset
+from .data import MultiViewDataset, check_real
 from .fusion import SelectiveFusion
 from .tensor import Tape, Tensor, concat
 
@@ -108,8 +108,12 @@ class TrainConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.ascl_weight < 0:
-            raise ValueError(f"ascl_weight must be >= 0, got {self.ascl_weight}")
+        # NaN and infinities are refused: NaN > 0 is False, so a NaN weight
+        # would silently turn the contrastive term off.  temperature and
+        # ascl_floor are checked here too, so the error names this config's field
+        for name in ("learning_rate", "temperature", "ascl_floor"):
+            check_real(name, getattr(self, name))
+        check_real("ascl_weight", self.ascl_weight, zero_ok=True)
         # the run counts refuse floats and bools too; numpy integers pass
         for name, low in (("batch_size", 2), ("pretrain_epochs", 0), ("joint_epochs", 0),
                           ("seed", 0), ("eval_every", 0), ("n_clusters", 1)):

@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -68,6 +69,32 @@ def test_synth_rejects_non_positive_counts(capsys):
         main(["synth", "--samples", "10", "--clusters", "0", "--out", "/tmp/x"])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--samples", "20", "--clusters", "2", "--noise", "nan"],
+     "noise_std must be a finite positive number, got nan"),
+    (["synth", "--samples", "20", "--clusters", "2", "--separation", "inf"],
+     "separation must be a finite positive number, got inf"),
+    (["train", "--dataset", "manifest.json", "--set", "ascl_weight=nan"],
+     "invalid configuration: ascl_weight must be a finite non-negative number, got nan"),
+    (["train", "--dataset", "manifest.json", "--set", "temperature=inf"],
+     "invalid configuration: temperature must be a finite positive number, got inf"),
+    (["train", "--dataset", "manifest.json", "--set", "learning_rate=0"],
+     "invalid configuration: learning_rate must be a finite positive number, got 0.0"),
+    (["train", "--dataset", "manifest.json", "--set", "learning_rate=-0.01"],
+     "invalid configuration: learning_rate must be a finite positive number, got -0.01"),
+])
+def test_bad_float_settings_fail_before_any_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

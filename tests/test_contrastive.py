@@ -188,6 +188,16 @@ def test_config_validation():
         ContrastiveConfig(floor=0.0)
 
 
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", float("inf")), ("temperature", float("nan")), ("temperature", "0.5"),
+    ("floor", float("nan")), ("floor", True),
+])
+def test_config_refuses_non_finite_or_non_numeric_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite positive number, got"):
+        ContrastiveConfig(**{field: value})
+
+
 def test_loss_input_validation():
     config = ContrastiveConfig()
     one = Tensor(np.ones((1, 3)))

@@ -269,6 +269,20 @@ def test_synthetic_validation():
         generate_synthetic(SyntheticSpec(separation=-1.0))
 
 
+
+@pytest.mark.parametrize("field, value", [
+    ("separation", float("inf")), ("separation", 0.0), ("separation", True),
+    ("noise_std", float("nan")), ("noise_std", "0.5"), ("noise_std", -0.5),
+])
+def test_synthetic_spread_is_checked_before_any_draw(monkeypatch, field, value):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("data drawn before the spec was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=f"^{field} must be a finite positive number, got"):
+        generate_synthetic(SyntheticSpec(**{field: value}))
+
+
 def test_well_separated_blobs_cluster_from_a_raw_view():
     # high separation, low noise: a single view should already be clusterable
     spec = SyntheticSpec(n_samples=200, n_clusters=4, view_dims=[12],

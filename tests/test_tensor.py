@@ -3,6 +3,8 @@
 import inspect
 import logging
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +25,7 @@ from tmcn.tensor import (
     Tape,
     Tensor,
     _expit,
+    add,
     concat,
     conv1d_depthwise,
     cosine_similarity_matrix,
@@ -315,6 +318,78 @@ def test_affine_maps_the_last_axis_like_the_flattened_rows():
     assert np.array_equal(grads[0][1], grads[1][1])
     with pytest.raises(ShapeError, match=r"affine: expected input \(\.\.\., 4\)"):
         layer(Tensor(np.zeros((2, 5, 3))))
+
+
+# ---------------------------------------------------------------------------
+# the bias operand of matmul, and what the tape keeps
+
+@pytest.mark.parametrize("a_shape", [(5, 4), (2, 3, 4)])
+def test_matmul_bias_gradients_match_finite_differences(a_shape):
+    rng = np.random.default_rng(21)
+    a = parameter(rng.normal(size=a_shape))
+    b = parameter(rng.normal(size=(4, 3)))
+    bias = parameter(rng.normal(size=3))
+    check_grads(lambda: matmul(a, b, bias), [a, b, bias], rtol=1e-5)
+
+
+@pytest.mark.parametrize("a_shape", [(7, 5), (3, 6, 5)])
+def test_matmul_bias_is_bitwise_add_of_matmul(a_shape):
+    rng = np.random.default_rng(22)
+    a = parameter(rng.normal(size=a_shape))
+    b = parameter(rng.normal(size=(5, 4)))
+    bias = parameter(rng.normal(size=4))
+    probe = Tensor(rng.normal(size=a_shape[:-1] + (4,)))
+    results = []
+    for build in (lambda: matmul(a, b, bias), lambda: add(matmul(a, b), bias)):
+        for t in (a, b, bias):
+            t.grad = None
+        with Tape() as tape:
+            out = build()
+            tape.backward((out * probe).sum())
+        results.append([out.data, a.grad, b.grad, bias.grad])
+    for fused, reference in zip(*results):
+        assert np.array_equal(fused, reference)
+
+
+def test_matmul_refuses_a_bias_of_the_wrong_shape():
+    a, b = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))
+    for shape in [(4,), (1, 5), ()]:
+        with pytest.raises(ShapeError, match=rf"matmul: bias shape {re.escape(str(shape))}"):
+            matmul(a, b, Tensor(np.zeros(shape)))
+
+
+def test_silu_gradient_is_bitwise_the_stored_sigmoid_form():
+    rng = np.random.default_rng(23)
+    x = parameter(rng.normal(size=(6, 5)) * 4.0)
+    g = rng.normal(size=(6, 5))
+    with Tape() as tape:
+        tape.backward((silu(x) * Tensor(g)).sum())
+    s = _expit(x.data)
+    assert np.array_equal(x.grad, g * (s * (1.0 + x.data * (1.0 - s))))
+
+
+def _taped_bytes(build, x):
+    """Bytes newly allocated and still alive after ``build(x)`` under a live tape."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            out = build(x)
+            kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept, out.data.nbytes
+
+
+@pytest.mark.parametrize("op", ["affine", "silu"])
+def test_dense_layer_and_silu_keep_one_output_array_on_the_tape(op):
+    # the bias is added into the GEMM output, and silu recomputes its
+    # sigmoid in backward: each keeps its output, not a second array
+    rng = np.random.default_rng(24)
+    x = parameter(rng.normal(size=(256, 24, 16)))
+    build = Affine.init(16, 16, rng) if op == "affine" else silu
+    kept, nbytes = _taped_bytes(build, x)
+    assert kept <= nbytes + 8 * 1024, f"{op} keeps {kept} bytes for a {nbytes}-byte output"
 
 
 def test_three_layer_mlp_gradients():

@@ -1,6 +1,8 @@
 """Trainer tests: determinism, modes, history schema, checkpoints, evaluation."""
 
 import json
+import math
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -91,6 +93,27 @@ def test_train_config_run_counts_keep_their_floors_and_take_numpy_integers():
                           n_clusters=None, batch_size=np.int64(2))
     assert config.batch_size == 2 and config.n_clusters is None
     assert _tiny_config(n_clusters=np.int32(3), seed=np.uint8(7)).n_clusters == 3
+
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("learning_rate", 0.0, "positive"), ("learning_rate", -0.01, "positive"),
+    ("learning_rate", "0.1", "positive"), ("learning_rate", math.inf, "positive"),
+    ("ascl_weight", math.nan, "non-negative"), ("ascl_weight", -1.0, "non-negative"),
+    ("ascl_weight", True, "non-negative"), ("temperature", math.inf, "positive"),
+    ("temperature", math.nan, "positive"), ("temperature", 0, "positive"),
+    ("ascl_floor", -math.inf, "positive"), ("ascl_floor", False, "positive"),
+])
+def test_train_config_refuses_non_finite_or_non_numeric_floats(field, value, kind):
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite {kind} number, got "
+                                         rf"{re.escape(repr(value))}$"):
+        _tiny_config(**{field: value})
+
+
+def test_train_config_floats_take_ints_and_numpy_floats():
+    config = _tiny_config(learning_rate=1, ascl_weight=0, temperature=np.float32(0.5),
+                          ascl_floor=np.float64(1e-6))
+    assert config.learning_rate == 1 and config.contrastive().temperature == 0.5
 
 
 @pytest.mark.parametrize("mode", MODES)
