@@ -152,7 +152,7 @@ def _fmt(x: float) -> str:
 def cmd_synth(args) -> int:
     spec = SyntheticSpec(
         n_samples=args.samples, n_clusters=args.clusters,
-        view_dims=[int(d) for d in args.views.split(",") if d],
+        view_dims=args.views,
         separation=args.separation, noise_std=args.noise,
         seed=args.seed, name=args.name)
     dataset = generate_synthetic(spec)
@@ -282,6 +282,20 @@ def _positive_int(s: str) -> int:
     return v
 
 
+def _non_negative_int(s: str) -> int:
+    v = int(s)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s!r}")
+    return v
+
+
+def _widths(s: str) -> list[int]:
+    widths = [_positive_int(d) for d in s.split(",") if d]
+    if not widths:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {s!r}")
+    return widths
+
+
 def _add_config_flags(p: argparse.ArgumentParser, with_mode: bool = False) -> None:
     p.add_argument("--config", help="INI config file mirroring TrainConfig fields")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -300,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--clusters", type=_positive_int, required=True)
-    p.add_argument("--views", default="20,30,25",
+    p.add_argument("--views", type=_widths, default="20,30,25",
                    help="comma-separated feature widths, one per view")
     p.add_argument("--separation", type=float, default=6.0)
     p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--name", default="synthetic")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--assignments", default=None,
                    help="write cluster assignments to this CSV")
     p.set_defaults(func=cmd_eval)

@@ -19,8 +19,8 @@ and each component gets its own stream so ablation modes share inits.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -46,7 +46,7 @@ PREPROCESSING = ("minmax", "none")
 HISTORY_COLUMNS = ("epoch", "phase", "total_loss", "rec_loss", "ascl_loss",
                    "clamp_frac", "acc", "nmi", "pur")
 CHECKPOINT_MAGIC = b"TMCN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _is_int(value) -> bool:
@@ -424,76 +424,53 @@ def run_ablation(config: TrainConfig, dataset: MultiViewDataset) -> AblationResu
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _write_blob(f, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    f.write(struct.pack("<I", len(encoded)))
-    f.write(encoded)
-    f.write(struct.pack("<I", arr.ndim))
-    for dim in arr.shape:
-        f.write(struct.pack("<I", dim))
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
 def save_checkpoint(model: TmcnModel, path) -> Path:
     """Write magic, uint32 version, uint32 header length, the UTF-8 JSON header
-    (``view_dims`` and every ``ModelConfig`` field), then every parameter blob."""
-    header = {"view_dims": model.view_dims}
+    (``view_dims``, every ``ModelConfig`` field and ``params``, the parameter
+    names in ``model.params()`` order), every parameter's little-endian float64
+    bytes in that order, and a SHA-256 of all the bytes before it."""
+    params = model.params()
+    header = {"view_dims": model.view_dims, "params": list(params)}
     header.update((f.name, getattr(model.config, f.name)) for f in fields(ModelConfig))
     encoded = json.dumps(header, sort_keys=True, default=int).encode("utf-8")  # numpy ints
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(encoded)),
+                     encoded] + [np.asarray(p.data, "<f8").tobytes() for p in params.values()])
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(encoded)))
-        f.write(encoded)
-        for name, p in model.params().items():
-            _write_blob(f, name, p.data)
+        f.write(body)
+        f.write(hashlib.sha256(body).digest())
     return Path(path)
 
 
-def _read_checkpoint(path) -> tuple[object, dict[str, np.ndarray]]:
-    """The JSON header and named blobs; each declared length is checked before slicing."""
+def _read_checkpoint(path) -> tuple[object, bytes, int]:
+    """The JSON header, the file's bytes and the offset of the parameters after the header."""
     raw = Path(path).read_bytes()
-    at = 0
-
-    def take(count: int) -> int:
-        nonlocal at
-        if count > len(raw) - at:
-            raise ValueError("checkpoint truncated")
-        at += count
-        return at - count
-
-    def uint() -> int:
-        return struct.unpack_from("<I", raw, take(4))[0]
-
-    if raw[take(4):at] != CHECKPOINT_MAGIC:
+    if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{Path(path).name}: bad magic, not a checkpoint")
-    version = uint()
+    if len(raw) < 12:
+        raise ValueError("checkpoint truncated")
+    version, size = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    start = take(uint())
+    if size > len(raw) - 12:
+        raise ValueError("checkpoint truncated")
     try:
-        header = json.loads(raw[start:at].decode("utf-8"))
+        header = json.loads(raw[12:12 + size].decode("utf-8"))
     except ValueError as e:
         raise ValueError(f"checkpoint header is not UTF-8 JSON: {e}") from None
-    blobs: dict[str, np.ndarray] = {}
-    while at < len(raw):
-        name = raw[take(uint()):at].decode("utf-8")
-        ndim = uint()
-        shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
-        if name in blobs:
-            raise ValueError(f"checkpoint repeats parameter {name}")
-        blobs[name] = np.frombuffer(raw, "<f8", math.prod(shape),
-                                    take(8 * math.prod(shape))).reshape(shape)
-    return header, blobs
+    return header, raw, 12 + size
 
 
 def load_model(path) -> TmcnModel:
     """Rebuild a model from a checkpoint; ``model.config.preprocess`` says how to scale views.
 
-    The header must name exactly ``view_dims`` and the ``ModelConfig``
-    fields, so that no field falls back to its default unseen.
+    The header must name exactly ``view_dims``, ``params`` and the
+    ``ModelConfig`` fields, so that no field falls back to its default
+    unseen.  ``params`` must list the built model's parameters in order,
+    the payload must hold exactly their floats, and the trailing SHA-256
+    must match every byte before it.
     """
-    header, blobs = _read_checkpoint(path)
-    kinds = {f.name: f.type for f in fields(ModelConfig)} | {"view_dims": "list"}
+    header, raw, at = _read_checkpoint(path)
+    kinds = {f.name: f.type for f in fields(ModelConfig)} | {"view_dims": "list", "params": "names"}
     names = set(header) if isinstance(header, dict) else set()
     if names != set(kinds):
         raise ValueError(f"checkpoint header does not fit the model config: missing "
@@ -501,25 +478,32 @@ def load_model(path) -> TmcnModel:
     for name, kind in kinds.items():  # ModelConfig checks the str fields
         value = [header[name]] if kind == "int" else header[name]
         # json also reads true, 1.5 and NaN; hidden_dims=() is a model without hidden layers
-        if kind != "str" and not (isinstance(value, list) and (value or name == "hidden_dims")
-                                  and all(type(v) is int and v >= 1 for v in value)):
+        if kind not in ("str", "names") and not (
+                isinstance(value, list) and (value or name == "hidden_dims")
+                and all(type(v) is int and v >= 1 for v in value)):
             raise ValueError(f"checkpoint header field {name} must hold integers >= 1, "
                              f"got {json.dumps(header[name])}")
-    view_dims = header.pop("view_dims")
+    view_dims, stored = header.pop("view_dims"), header.pop("params")
     try:
         model = TmcnModel(view_dims, ModelConfig(**header))
     except MemoryError:
         raise ValueError(f"checkpoint header describes a model too large to build: "
                          f"view_dims {view_dims}, {header}") from None
     params = model.params()
-    if set(params) != set(blobs):
-        raise ValueError(f"checkpoint parameters do not fit the model its header describes: "
-                         f"missing {sorted(set(params) - set(blobs))[:3]}, "
-                         f"stray {sorted(set(blobs) - set(params))[:3]}")
-    for name, p in params.items():
-        arr = blobs[name]
-        if arr.shape != p.data.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape {arr.shape}, "
-                             f"expected {p.data.shape}")
-        p.data = arr.astype(np.float64)
+    if stored != list(params):
+        stored = {str(n) for n in stored} if isinstance(stored, list) else set()
+        raise ValueError(f"checkpoint parameters do not fit the model its header describes "
+                         f"in name or order: missing {sorted(set(params) - stored)[:3]}, "
+                         f"stray {sorted(stored - set(params))[:3]}")
+    end = at + 8 * sum(p.data.size for p in params.values())
+    if end + 32 > len(raw):
+        raise ValueError("checkpoint truncated")
+    if end + 32 < len(raw):
+        raise ValueError(f"checkpoint holds {len(raw) - 32 - at} parameter bytes, "
+                         f"the model takes {end - at}")
+    if hashlib.sha256(memoryview(raw)[:end]).digest() != raw[end:]:
+        raise ValueError("checkpoint does not match its digest")
+    for p in params.values():
+        p.data = np.frombuffer(raw, "<f8", p.data.size, at).reshape(p.data.shape).astype(float)
+        at += p.data.nbytes
     return model

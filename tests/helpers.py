@@ -5,6 +5,7 @@ loops, enumeration) so the fast library paths are checked against a
 different derivation, not against themselves.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -384,11 +385,17 @@ def kmeans_reference(points: np.ndarray, k: int, seed: int = 0, restarts: int = 
 DROP = object()  # set_checkpoint_field value that removes the field
 
 
+def write_sealed(path, body):
+    """Write ``body`` and the SHA-256 trailer that makes it a well-formed checkpoint."""
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 def set_checkpoint_field(path, name, value):
-    """Rewrite one field of a checkpoint's JSON header, and the header's length.
+    """Rewrite one field of a checkpoint's JSON header, the header's length and the digest.
 
     ``value`` is written with ``json.dumps``, so NaN becomes ``NaN``;
-    ``DROP`` removes the field.
+    ``DROP`` removes the field.  The digest is resealed, so the loader's
+    field checks, not the digest check, see the change.
     """
     raw = path.read_bytes()
     (size,) = struct.unpack_from("<I", raw, 8)
@@ -398,4 +405,4 @@ def set_checkpoint_field(path, name, value):
     else:
         header[name] = value
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + size:])
+    write_sealed(path, raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + size:-32])

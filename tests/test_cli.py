@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from helpers import set_checkpoint_field
@@ -64,11 +65,26 @@ def test_synth_prints_manifest_and_is_deterministic(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_synth_rejects_non_positive_counts(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--samples", "10", "--clusters", "0"], "--clusters: expected a positive integer"),
+    (["synth", "--samples", "10", "--clusters", "2", "--views", "a,3"],
+     "--views: invalid _widths value: 'a,3'"),
+    (["synth", "--samples", "10", "--clusters", "2", "--views", "3,0"],
+     "--views: expected a positive integer, got '0'"),
+    (["synth", "--samples", "10", "--clusters", "2", "--views", ""],
+     "--views: expected comma-separated positive integers, got ''"),
+    (["synth", "--samples", "10", "--clusters", "2", "--seed", "-1"],
+     "--seed: expected a non-negative integer, got '-1'"),
+    (["eval", "--checkpoint", "c.tmcn", "--dataset", "manifest.json", "--seed", "-1"],
+     "--seed: expected a non-negative integer, got '-1'"),
+], ids=["clusters-0", "views-a,3", "views-3,0", "views-empty", "synth-seed--1", "eval-seed--1"])
+def test_synth_rejects_non_positive_counts(tmp_path, capsys, argv, message):
+    out = ["--out", str(tmp_path / "x")] if argv[0] == "synth" else []
     with pytest.raises(SystemExit) as exc:
-        main(["synth", "--samples", "10", "--clusters", "0", "--out", "/tmp/x"])
+        main(argv + out)
     assert exc.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
+    assert f"error: argument {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 
@@ -330,18 +346,38 @@ def test_eval_rejects_an_unknown_mode_code(tmp_path, trained_dir, dataset_dir, c
     assert err.startswith("error: mode must be one of") and err.count("\n") == 1
 
 
-def test_eval_of_a_corrupt_blob_length_is_a_clean_error(tmp_path, trained_dir, dataset_dir,
-                                                       capsys):
+@pytest.mark.parametrize("where, mask, message", [
+    ("payload", 0x80, "checkpoint does not match its digest"),
+    ("version", 0x01, "unsupported checkpoint version 2"),   # 3 -> 2
+], ids=["payload", "version"])
+def test_eval_of_a_corrupt_checkpoint_is_a_clean_error(tmp_path, trained_dir, dataset_dir,
+                                                       capsys, where, mask, message):
     raw = bytearray((trained_dir / "checkpoint.tmcn").read_bytes())
-    blob = 12 + int.from_bytes(raw[8:12], "little")      # the first blob
-    shape = blob + 8 + int.from_bytes(raw[blob:blob + 4], "little")
-    raw[shape:shape + 4] = (2**32 - 1).to_bytes(4, "little")
+    # the version's low byte, or the first byte of the first parameter float
+    at = 4 if where == "version" else 12 + int.from_bytes(raw[8:12], "little")
+    raw[at] ^= mask
     ckpt = tmp_path / "checkpoint.tmcn"
     ckpt.write_bytes(bytes(raw))
     code = main(["eval", "--checkpoint", str(ckpt),
                  "--dataset", str(dataset_dir / "manifest.json")])
     assert code == 1
-    assert capsys.readouterr().err == "error: checkpoint truncated\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_refuses_every_single_bit_flip_of_a_checkpoint(tmp_path, trained_dir, dataset_dir,
+                                                            capsys):
+    raw = (trained_dir / "checkpoint.tmcn").read_bytes()
+    ckpt = tmp_path / "checkpoint.tmcn"
+    rng = np.random.default_rng(150)
+    for bit in rng.integers(8 * len(raw), size=150):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        ckpt.write_bytes(bytes(flipped))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--dataset", str(dataset_dir / "manifest.json")])
+        err = capsys.readouterr().err
+        # one line, the error line: no traceback and no warning
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (bit, err)
 
 
 @pytest.mark.parametrize("mode, scale, command, message", [

@@ -1,5 +1,6 @@
 """Trainer tests: determinism, modes, history schema, checkpoints, evaluation."""
 
+import hashlib
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from helpers import DROP, set_checkpoint_field
+from helpers import DROP, set_checkpoint_field, write_sealed
 from tmcn.clustering import accuracy
 from tmcn.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from tmcn.tensor import Tensor, parameter
@@ -424,13 +425,13 @@ def test_checkpoint_header_and_errors(tmp_path):
     path = save_checkpoint(model, tmp_path / "m.tmcn")
     raw = path.read_bytes()
     assert raw[:4] == b"TMCN"
-    assert int.from_bytes(raw[4:8], "little") == 2
+    assert int.from_bytes(raw[4:8], "little") == 3
     size = int.from_bytes(raw[8:12], "little")
     header = json.loads(raw[12:12 + size].decode("utf-8"))
     assert list(header) == sorted(header)
     assert header == {"view_dims": [5, 4], "hidden_dims": [8], "seq_len": 2, "seq_dim": 2,
                       "expand_factor": 2, "state_size": 2, "conv_width": 2, "proj_dim": 8,
-                      "mode": "full", "preprocess": "minmax"}
+                      "mode": "full", "preprocess": "minmax", "params": list(model.params())}
 
     bad = tmp_path / "bad.tmcn"
     bad.write_bytes(b"NOPE" + raw[4:])
@@ -442,7 +443,7 @@ def test_checkpoint_header_and_errors(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         load_model(truncated)
 
-    for version in (1, 9):
+    for version in (1, 2, 9):
         versioned = tmp_path / f"v{version}.tmcn"
         versioned.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
         with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
@@ -454,17 +455,13 @@ def test_checkpoint_header_and_errors(tmp_path):
         load_model(garbled)
 
 
-@pytest.mark.parametrize("length", ["header", "name", "ndim", "shape"])
+@pytest.mark.parametrize("length", ["header"])
 def test_checkpoint_lengths_past_the_end_are_truncation(tmp_path, length):
     ds = _tiny_dataset()
     model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), ds)
     path = save_checkpoint(model, tmp_path / "m.tmcn")
     raw = bytearray(path.read_bytes())
-    blob = 12 + int.from_bytes(raw[8:12], "little")      # the first blob
-    name_len = int.from_bytes(raw[blob:blob + 4], "little")
-    at = {"header": 8, "name": blob, "ndim": blob + 4 + name_len,
-          "shape": blob + 8 + name_len}[length]
-    raw[at:at + 4] = (2**32 - 1).to_bytes(4, "little")
+    raw[8:12] = (2**32 - 1).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="^checkpoint truncated$"):
         load_model(path)
@@ -503,14 +500,42 @@ def test_checkpoint_metadata_must_fit_the_model(tmp_path, field, value, match):
 
 
 def test_checkpoint_blobs_are_named_and_typed(tmp_path):
+    """The v3 layout: ``params`` names the parameters in ``model.params()`` order, their
+    little-endian float64 bytes follow the header back to back, then a SHA-256 trailer."""
     ds = _tiny_dataset()
     model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), ds)
     path = save_checkpoint(model, tmp_path / "m.tmcn")
-    header, blobs = _read_checkpoint(path)
+    header, raw, at = _read_checkpoint(path)
     assert header["view_dims"] == [5, 4]
-    assert list(blobs) == list(model.params())
-    assert "view0.encoder.layer0.weight" in blobs
-    assert "fusion.ssm.a_log" in blobs
-    assert "heads.fused.weight" in blobs
-    for name, p in model.params().items():
-        assert np.array_equal(blobs[name], p.data)
+    assert header["params"] == list(model.params())
+    assert "view0.encoder.layer0.weight" in header["params"]
+    assert "fusion.ssm.a_log" in header["params"]
+    assert "heads.fused.weight" in header["params"]
+    payload = b"".join(p.data.astype("<f8").tobytes() for p in model.params().values())
+    assert raw[at:-32] == payload
+    assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+
+
+def _saved(tmp_path):
+    model, _ = train(_tiny_config(pretrain_epochs=1, joint_epochs=0), _tiny_dataset())
+    return model, save_checkpoint(model, tmp_path / "m.tmcn")
+
+
+def test_checkpoint_refuses_a_permuted_params_list(tmp_path):
+    model, path = _saved(tmp_path)
+    names = list(model.params())
+    p, q = names.index("fusion.branch_p.weight"), names.index("fusion.branch_q.weight")
+    names[p], names[q] = names[q], names[p]   # one shape, so only the list tells them apart
+    set_checkpoint_field(path, "params", names)
+    with pytest.raises(ValueError, match=r"in name or order: missing \[\], stray \[\]$"):
+        load_model(path)
+
+
+def test_checkpoint_refuses_a_payload_one_float_too_long(tmp_path):
+    model, path = _saved(tmp_path)
+    raw = path.read_bytes()
+    write_sealed(path, raw[:-32] + np.float64(1.0).tobytes())
+    floats = sum(p.data.size for p in model.params().values())
+    with pytest.raises(ValueError, match=f"holds {8 * floats + 8} parameter bytes, "
+                                         f"the model takes {8 * floats}$"):
+        load_model(path)
