@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .data import (
-    DataFormatError,
     SyntheticSpec,
     dataset_fingerprint,
     generate_synthetic,
@@ -38,14 +37,7 @@ from .trainer import (
     train,
 )
 
-_TYPE_PARSERS = {
-    "float": float,
-    "int": int,
-    "str": str,
-    "tuple[int, ...]": lambda s: tuple(int(x) for x in s.replace(" ", "").split(",") if x),
-    "int | None": lambda s: None if s.strip().lower() in ("", "none") else int(s),
-}
-_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(TrainConfig)}
+_FIELD_PARSERS = {f.name: f.metadata["parse"] for f in fields(TrainConfig)}
 
 # short grid/override aliases for the most commonly swept fields
 _ALIASES = {
@@ -79,22 +71,20 @@ def _parse_field(name: str, raw: str):
 
 
 def _load_config(args) -> TrainConfig:
-    values: dict = {}
+    pairs = []  # (key, text) from the INI file, then from --set
     if args.config:
-        parser = configparser.ConfigParser()
-        read = parser.read(args.config)
-        if not read:
-            raise CliError(f"config file not found: {args.config}")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                field, value = _parse_field(key, raw)
-                values[field] = value
+        parser = configparser.ConfigParser(interpolation=None)  # a % is literal text
+        try:
+            if not parser.read(args.config):
+                raise CliError(f"config file not found: {args.config}")
+        except configparser.Error as e:  # names the file and the line
+            raise CliError(" ".join(str(e).split())) from None
+        pairs = [item for section in parser.sections() for item in parser.items(section)]
     for pair in args.set:
         if "=" not in pair:
             raise CliError(f"--set expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        field, value = _parse_field(key.strip(), raw.strip())
-        values[field] = value
+        pairs.append(pair.split("=", 1))
+    values = dict(_parse_field(key.strip(), raw.strip()) for key, raw in pairs)
     if getattr(args, "mode", None) is not None:
         values["mode"] = args.mode
     if args.seed is not None:
@@ -365,7 +355,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataFormatError, ValueError, OSError, ArithmeticError) as e:
+    except (CliError, ValueError, OSError, ArithmeticError) as e:  # DataFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from .data import check_real
 from .nn import Affine
 from .tensor import EPS, ShapeError, Tensor, add, cosine_similarity_matrix, mul
 
-_MODES = ("self-excluded", "literal")
+ASCL_MODES = ("self-excluded", "literal")
 
 
 @dataclass
@@ -37,8 +37,8 @@ class ContrastiveConfig:
 
     def __post_init__(self):
         check_real("temperature", self.temperature)
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in ASCL_MODES:
+            raise ValueError(f"mode must be one of {ASCL_MODES}, got {self.mode!r}")
         check_real("floor", self.floor)
 
 

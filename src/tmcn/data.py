@@ -30,8 +30,8 @@ class DataFormatError(ValueError):
 def check_real(name: str, value, zero_ok: bool = False) -> None:
     """Refuse a config value that is not a finite number > 0 (>= 0 with ``zero_ok``).
 
-    Ints and numpy floats pass; bools, strings, NaN and infinities fail,
-    and the error names the field and the value.
+    Ints and numpy floats pass; bools, strings, infinities and NaN (a NaN weight
+    would silently turn its term off) fail, and the error names the field and value.
     """
     ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:

@@ -30,6 +30,7 @@ import numpy as np
 from .autoencoder import ViewAutoencoder, reconstruction_loss
 from .clustering import ClusteringResult, MetricTriple, evaluate_labels, kmeans
 from .contrastive import (
+    ASCL_MODES,
     ContrastiveConfig,
     ProjectionHeads,
     average_similarity,
@@ -42,7 +43,6 @@ from .fusion import SelectiveFusion
 from .tensor import Tape, Tensor, concat
 
 MODES = ("full", "no-tmfn", "no-ascl")
-PREPROCESSING = ("minmax", "none")
 HISTORY_COLUMNS = ("epoch", "phase", "total_loss", "rec_loss", "ascl_loss",
                    "clamp_frac", "acc", "nmi", "pur")
 CHECKPOINT_MAGIC = b"TMCN"
@@ -51,6 +51,45 @@ CHECKPOINT_VERSION = 3
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _rule(default, parse, check):
+    """A config field: ``parse`` reads its --set/INI text; ``check(name, value)`` raises."""
+    return field(default=default, metadata={"parse": parse, "check": check})
+
+
+def _count(default, low=1):
+    """An integer >= ``low``, not a float or bool; a None default also admits ``none``."""
+    def check(name, value):
+        if not ((value is None and default is None) or (_is_int(value) and value >= low)):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+    def parse(text):
+        return None if default is None and text.strip().lower() in ("", "none") else int(text)
+    return _rule(default, parse, check)
+
+
+def _check_widths(name, value) -> None:
+    if not (isinstance(value, (tuple, list, np.ndarray))
+            and all(_is_int(w) and w >= 1 for w in value)):
+        raise ValueError(f"{name} widths must be integers >= 1, got {value!r}")
+
+
+def _widths(default):
+    """Integers >= 1, written ``500,500,2000``; the empty string is no widths."""
+    return _rule(default, lambda text: tuple(int(w) for w in text.split(",") if w.strip()),
+                 _check_widths)
+
+
+def _real(default, zero_ok=False):
+    return _rule(default, float, lambda name, value: check_real(name, value, zero_ok))
+
+
+def _choice(default, choices):
+    def check(name, value):
+        if value not in choices:
+            raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+    return _rule(default, str, check)
 
 
 class TrainingDiverged(ArithmeticError):
@@ -65,64 +104,37 @@ class ModelConfig:
     ``data.normalize_views``); ``train`` and ``evaluate`` take views as given.
     """
 
-    hidden_dims: tuple[int, ...] = (500, 500, 2000)
-    seq_len: int = 16
-    seq_dim: int = 16
-    expand_factor: int = 2
-    state_size: int = 16
-    conv_width: int = 4
-    proj_dim: int = 128
-    mode: str = "full"
-    preprocess: str = "minmax"
+    hidden_dims: tuple[int, ...] = _widths((500, 500, 2000))
+    seq_len: int = _count(16)
+    seq_dim: int = _count(16)
+    expand_factor: int = _count(2)
+    state_size: int = _count(16)
+    conv_width: int = _count(4)
+    proj_dim: int = _count(128)
+    mode: str = _choice("full", MODES)
+    preprocess: str = _choice("minmax", ("minmax", "none"))
 
     def __post_init__(self):
-        # floats and bools are refused, not truncated; numpy integers pass
-        if not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims widths must be integers >= 1, got {self.hidden_dims}")
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        for name, choices in (("mode", MODES), ("preprocess", PREPROCESSING)):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {choices}, "
-                                 f"got {getattr(self, name)!r}")
-        for f in fields(ModelConfig):
-            value = getattr(self, f.name)
-            if f.type == "int" and not (_is_int(value) and value >= 1):
-                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+        for f in fields(self):
+            f.metadata["check"](f.name, getattr(self, f.name))
+        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)  # from a list or numpy ints
 
 
 @dataclass
 class TrainConfig(ModelConfig):
     """Everything a run depends on besides the dataset itself."""
 
-    ascl_weight: float = 1.0          # weight on the contrastive term
-    temperature: float = 0.5
-    learning_rate: float = 3e-4
-    batch_size: int = 256
-    pretrain_epochs: int = 25
-    joint_epochs: int = 35
-    seed: int = 0
-    ascl_mode: str = "self-excluded"  # denominator convention, or "literal"
-    ascl_floor: float = 1e-8
-    n_clusters: int | None = None
-    eval_every: int = 0               # epochs between metric rows; 0 disables
-
-    def __post_init__(self):
-        super().__post_init__()
-        # NaN and infinities are refused: NaN > 0 is False, so a NaN weight
-        # would silently turn the contrastive term off.  temperature and
-        # ascl_floor are checked here too, so the error names this config's field
-        for name in ("learning_rate", "temperature", "ascl_floor"):
-            check_real(name, getattr(self, name))
-        check_real("ascl_weight", self.ascl_weight, zero_ok=True)
-        # the run counts refuse floats and bools too; numpy integers pass
-        for name, low in (("batch_size", 2), ("pretrain_epochs", 0), ("joint_epochs", 0),
-                          ("seed", 0), ("eval_every", 0), ("n_clusters", 1)):
-            value = getattr(self, name)
-            if value is None and name == "n_clusters":
-                continue
-            if not (_is_int(value) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        self.contrastive()  # temperature / mode / floor checks live with the loss config
+    ascl_weight: float = _real(1.0, zero_ok=True)  # weight on the contrastive term
+    temperature: float = _real(0.5)
+    learning_rate: float = _real(3e-4)
+    batch_size: int = _count(256, low=2)
+    pretrain_epochs: int = _count(25, low=0)
+    joint_epochs: int = _count(35, low=0)
+    seed: int = _count(0, low=0)
+    ascl_mode: str = _choice("self-excluded", ASCL_MODES)  # denominator convention, or "literal"
+    ascl_floor: float = _real(1e-8)
+    n_clusters: int | None = _count(None)
+    eval_every: int = _count(0, low=0)  # epochs between metric rows; 0 disables
 
     def contrastive(self) -> ContrastiveConfig:
         return ContrastiveConfig(temperature=self.temperature, mode=self.ascl_mode,
@@ -143,16 +155,19 @@ class TmcnModel:
         embed = self.embed_dim
         # keyed streams: every component draws from its own generator, so
         # switching mode never shifts another component's initialization
-        self.autoencoders = [
-            ViewAutoencoder(dim, embed, np.random.default_rng([seed, 1, i]),
-                            hidden_dims=config.hidden_dims)
-            for i, dim in enumerate(self.view_dims)
-        ]
-        self.fusion = (None if config.mode == "no-tmfn"
-                       else SelectiveFusion(m, config, np.random.default_rng([seed, 2])))
-        self.heads = ProjectionHeads.init(fused_dim=m * embed, view_dim=embed,
-                                          n_views=m, proj_dim=config.proj_dim,
-                                          rng=np.random.default_rng([seed, 3]))
+        try:
+            self.autoencoders = [
+                ViewAutoencoder(dim, embed, np.random.default_rng([seed, 1, i]),
+                                hidden_dims=config.hidden_dims)
+                for i, dim in enumerate(self.view_dims)
+            ]
+            self.fusion = (None if config.mode == "no-tmfn"
+                           else SelectiveFusion(m, config, np.random.default_rng([seed, 2])))
+            self.heads = ProjectionHeads.init(fused_dim=m * embed, view_dim=embed,
+                                              n_views=m, proj_dim=config.proj_dim,
+                                              rng=np.random.default_rng([seed, 3]))
+        except MemoryError:
+            raise ValueError(f"model too large to build: {self.view_dims}, {config}") from None
 
     @classmethod
     def from_config(cls, view_dims, config: TrainConfig) -> "TmcnModel":
@@ -470,25 +485,19 @@ def load_model(path) -> TmcnModel:
     must match every byte before it.
     """
     header, raw, at = _read_checkpoint(path)
-    kinds = {f.name: f.type for f in fields(ModelConfig)} | {"view_dims": "list", "params": "names"}
+    keys = {f.name for f in fields(ModelConfig)} | {"view_dims", "params"}
     names = set(header) if isinstance(header, dict) else set()
-    if names != set(kinds):
+    if names != keys:
         raise ValueError(f"checkpoint header does not fit the model config: missing "
-                         f"{sorted(set(kinds) - names)}, unknown {sorted(names - set(kinds))}")
-    for name, kind in kinds.items():  # ModelConfig checks the str fields
-        value = [header[name]] if kind == "int" else header[name]
-        # json also reads true, 1.5 and NaN; hidden_dims=() is a model without hidden layers
-        if kind not in ("str", "names") and not (
-                isinstance(value, list) and (value or name == "hidden_dims")
-                and all(type(v) is int and v >= 1 for v in value)):
-            raise ValueError(f"checkpoint header field {name} must hold integers >= 1, "
-                             f"got {json.dumps(header[name])}")
+                         f"{sorted(keys - names)}, unknown {sorted(names - keys)}")
     view_dims, stored = header.pop("view_dims"), header.pop("params")
     try:
+        _check_widths("view_dims", view_dims)
+        if not view_dims:
+            raise ValueError("view_dims must name at least one view, got []")
         model = TmcnModel(view_dims, ModelConfig(**header))
-    except MemoryError:
-        raise ValueError(f"checkpoint header describes a model too large to build: "
-                         f"view_dims {view_dims}, {header}") from None
+    except ValueError as e:
+        raise ValueError(f"checkpoint header: {e}") from None
     params = model.params()
     if stored != list(params):
         stored = {str(n) for n in stored} if isinstance(stored, list) else set()

@@ -101,6 +101,10 @@ def test_synth_rejects_non_positive_counts(tmp_path, capsys, argv, message):
      "invalid configuration: learning_rate must be a finite positive number, got 0.0"),
     (["train", "--dataset", "manifest.json", "--set", "learning_rate=-0.01"],
      "invalid configuration: learning_rate must be a finite positive number, got -0.01"),
+    (["train", "--dataset", "manifest.json", "--set", "ascl_mode=both"],
+     "invalid configuration: ascl_mode must be one of ('self-excluded', 'literal'), got 'both'"),
+    (["train", "--dataset", "manifest.json", "--set", "hidden_dims=1 2"],
+     "cannot parse '1 2' as a value for hidden_dims"),
 ])
 def test_bad_float_settings_fail_before_any_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -186,6 +190,33 @@ def test_config_file_then_set_then_flag_precedence(tmp_path, dataset_dir):
     assert config["seq_dim"] == 4        # from the INI file
     assert config["seq_len"] == 2        # --set overrides the file (via alias l)
     assert config["seed"] == 3           # named flag overrides everything
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seq_len = 2\n", "File contains no section headers"),
+    ("[train]\nseq_len = 2\n[train]\nseed = 1\n", "[line 3]: section 'train' already exists"),
+    ("[train]\nseq_len = %(x)s\n", "cannot parse '%(x)s' as a value for seq_len"),
+    ("[train]\nseq_len = 2\nseq_len = 3\n", "[line 3]: option 'seq_len' in section 'train'"),
+], ids=["no-section", "repeated-section", "percent", "repeated-key"])
+def test_bad_config_file_is_one_error_line(tmp_path, dataset_dir, capsys, text, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    code = main(["train", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(out), "--config", str(ini)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
+def test_model_too_large_to_build_is_a_clean_error(tmp_path, dataset_dir, capsys):
+    # 16e12-wide embeddings: numpy refuses the allocation outright, nothing is paged in
+    code = main(["train", "--dataset", str(dataset_dir / "manifest.json"), "--out", str(tmp_path),
+                 "--set", "hidden_dims=8", "--set", "seq_len=1000000000000"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model too large to build: [5, 4], ")
 
 
 def test_unknown_set_field_is_a_clean_error(tmp_path, dataset_dir, capsys):
@@ -343,7 +374,7 @@ def test_eval_rejects_an_unknown_mode_code(tmp_path, trained_dir, dataset_dir, c
                  "--dataset", str(dataset_dir / "manifest.json")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: mode must be one of") and err.count("\n") == 1
+    assert err.startswith("error: checkpoint header: mode must be one of") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("where, mask, message", [

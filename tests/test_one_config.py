@@ -1,9 +1,13 @@
-"""A model's shape has one definition: no class but ``ModelConfig`` declares its fields."""
+"""A config field has one definition: ``ModelConfig`` alone declares the model's shape,
+and each field carries its own text parser and check."""
 
 import ast
+import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import tmcn
+from tmcn.trainer import TrainConfig
 
 PACKAGE = Path(tmcn.__file__).parent
 
@@ -28,3 +32,23 @@ def test_model_shape_fields_are_declared_once():
              for file, entries in declared.items() for cls, name, line in entries
              if cls != "ModelConfig" and name in shape and (cls, name) not in ALLOWED]
     assert not found, f"ModelConfig fields declared again: {', '.join(found)}"
+
+
+def test_every_train_config_field_has_a_parse_and_a_check():
+    missing = [f.name for f in fields(TrainConfig)
+               if not (callable(f.metadata.get("parse")) and callable(f.metadata.get("check")))]
+    assert not missing, f"fields without a rule: {', '.join(missing)}"
+
+
+def _as_text(value) -> str:
+    if value is None:
+        return "none"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_every_default_written_as_text_parses_back_to_the_default():
+    parsed = TrainConfig(**{f.name: f.metadata["parse"](_as_text(f.default))
+                            for f in fields(TrainConfig)})
+    assert parsed == TrainConfig()
+    # same types too, so run.json records the same text
+    assert json.dumps(asdict(parsed)) == json.dumps(asdict(TrainConfig()))

@@ -73,6 +73,7 @@ def test_config_validation():
     ("seq_len", 2.5), ("seq_len", 2.0), ("seq_len", True), ("seq_dim", 4.0),
     ("expand_factor", False), ("state_size", 3.5), ("conv_width", True),
     ("proj_dim", 8.0), ("hidden_dims", (2.7,)), ("hidden_dims", (8, True)),
+    ("hidden_dims", 8), ("hidden_dims", "8"), ("hidden_dims", None),
 ])
 def test_model_config_refuses_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"^{field} .*must be (an )?integers? >= 1, got"):
@@ -476,14 +477,16 @@ def test_checkpoint_lengths_past_the_end_are_truncation(tmp_path, length):
     ("seq_len", 10**12, "too large to build"),
     ("mode", "everything", "mode must be one of"),
     ("preprocess", "rms", "preprocess must be one of"),
-    ("seq_len", -1, "field seq_len must hold integers >= 1, got -1"),
-    ("state_size", 1.5, "field state_size must hold integers >= 1, got 1.5"),
-    ("conv_width", True, "field conv_width must hold integers >= 1, got true"),
-    ("proj_dim", float("nan"), "field proj_dim must hold integers >= 1, got NaN"),
-    ("hidden_dims", [8, True], r"field hidden_dims must hold integers >= 1, got \[8, true\]"),
-    ("hidden_dims", "8", "field hidden_dims must hold integers >= 1"),
-    ("view_dims", [], r"field view_dims must hold integers >= 1, got \[\]"),
-    ("view_dims", [5, 0], "field view_dims must hold integers >= 1"),
+    ("seq_len", -1, "^checkpoint header: seq_len must be an integer >= 1, got -1$"),
+    ("state_size", 1.5, "^checkpoint header: state_size must be an integer >= 1, got 1.5$"),
+    ("conv_width", True, "^checkpoint header: conv_width must be an integer >= 1, got True$"),
+    ("proj_dim", float("nan"), "^checkpoint header: proj_dim must be an integer >= 1, got nan$"),
+    ("hidden_dims", [8, True],
+     r"^checkpoint header: hidden_dims widths must be integers >= 1, got \[8, True\]$"),
+    ("hidden_dims", "8", "^checkpoint header: hidden_dims widths must be integers >= 1, got '8'$"),
+    ("view_dims", [], r"^checkpoint header: view_dims must name at least one view, got \[\]$"),
+    ("view_dims", [5, 0],
+     r"^checkpoint header: view_dims widths must be integers >= 1, got \[5, 0\]$"),
     ("seq_dim", DROP, r"missing \['seq_dim'\], unknown \[\]"),
     ("bogus", 1, r"missing \[\], unknown \['bogus'\]"),
 ], ids=["7-meta.mode", "-1-meta.mode", "1.5-meta.mode", "1-fusion", "1e12-meta.seq_len",
