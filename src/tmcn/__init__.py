@@ -32,7 +32,6 @@ from .data import (  # noqa: E402
 from .autoencoder import ViewAutoencoder, reconstruction_loss  # noqa: E402
 from .fusion import SelectiveFusion  # noqa: E402
 from .contrastive import (  # noqa: E402
-    ContrastiveConfig,
     ProjectionHeads,
     average_similarity,
     contrastive_loss,
@@ -58,7 +57,7 @@ __all__ = [
     "load_dataset", "normalize_views", "rescale_views", "save_dataset",
     "ViewAutoencoder", "reconstruction_loss",
     "SelectiveFusion",
-    "ContrastiveConfig", "ProjectionHeads", "average_similarity",
+    "ProjectionHeads", "average_similarity",
     "contrastive_loss", "view_similarity",
     "MetricTriple", "accuracy", "evaluate_labels", "kmeans", "nmi", "purity",
     "ModelConfig", "TmcnModel", "TrainConfig", "evaluate", "load_model",

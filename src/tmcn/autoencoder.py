@@ -38,9 +38,6 @@ class ViewAutoencoder:
             raise ShapeError(f"decode: expected (N, {self.embed_dim}), got {z.shape}")
         return self.decoder(z)
 
-    def reconstruct(self, x: Tensor) -> Tensor:
-        return self.decode(self.encode(x))
-
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = self.encoder.params(f"{prefix}.encoder")
         out.update(self.decoder.params(f"{prefix}.decoder"))

@@ -28,6 +28,10 @@ class ClusteringResult:
 # in a 2 MiB L2 while the block's objective, distances and sums read them.
 BLOCK_ROWS = 128
 
+# Lloyd stops after MAX_ITERS iterations, or once no center moves by TOL or more.
+MAX_ITERS = 300
+TOL = 1e-9
+
 
 def _dists_to(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, i: int) -> np.ndarray:
     """Squared distances of every point to point ``i``: the norms identity, one GEMV."""
@@ -135,8 +139,7 @@ def _lloyd(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, centers: np
     return assign, centers, prev_obj, len(trace), trace
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
-           max_iters: int = 300, tol: float = 1e-9) -> ClusteringResult:
+def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
     """Lloyd's algorithm with k-means++ seeding and ``restarts`` independent runs.
 
     Deterministic for a given (points, k, seed, restarts); the restart
@@ -172,7 +175,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
     best = None
     for _ in range(restarts):
         init = _plusplus_init(points, norms, twice, k, rng)
-        assign, centers, obj, n_iter, trace = _lloyd(points, norms, twice, init, max_iters, tol)
+        assign, centers, obj, n_iter, trace = _lloyd(points, norms, twice, init, MAX_ITERS, TOL)
         if best is None or obj < best.objective:
             best = ClusteringResult(assignments=assign, centers=centers, objective=obj,
                                     n_iter=n_iter, objective_trace=trace)

@@ -13,33 +13,23 @@ gradients flow through the projected cosines only.
 Two denominator conventions are provided.  ``self-excluded`` (default)
 sums the weighted negatives over j != i.  ``literal`` sums over all j
 and subtracts exp(1/temperature); that difference can go non-positive,
-so it is floored at ``floor`` and the clamp rate is reported.
+so it is floored at ``ascl_floor`` and the clamp rate is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import check_real
 from .nn import Affine
 from .tensor import EPS, ShapeError, Tensor, add, cosine_similarity_matrix, mul
 
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainConfig
+
 ASCL_MODES = ("self-excluded", "literal")
-
-
-@dataclass
-class ContrastiveConfig:
-    temperature: float = 0.5
-    mode: str = "self-excluded"
-    floor: float = 1e-8       # literal-mode denominator floor
-
-    def __post_init__(self):
-        check_real("temperature", self.temperature)
-        if self.mode not in ASCL_MODES:
-            raise ValueError(f"mode must be one of {ASCL_MODES}, got {self.mode!r}")
-        check_real("floor", self.floor)
 
 
 @dataclass
@@ -130,11 +120,12 @@ def project(u: Tensor, z_views: list[Tensor], heads: ProjectionHeads):
 # the loss
 
 def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndarray,
-                     config: ContrastiveConfig) -> tuple[Tensor, ContrastiveStats]:
+                     config: TrainConfig) -> tuple[Tensor, ContrastiveStats]:
     """Similarity-weighted InfoNCE over fused/view pairs.
 
     Averages -log(pos / den) over all N * M anchor/view terms with the
-    1/(2N) convention; ``similarity`` is treated as a constant.  Returns
+    1/(2N) convention; ``similarity`` is treated as a constant.  It reads
+    ``temperature``, ``ascl_mode`` and ``ascl_floor`` from ``config``.  Returns
     the scalar loss tensor and clamp statistics (always zero clamps in
     self-excluded mode).
     """
@@ -164,12 +155,12 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
         cos = cosine_similarity_matrix(h_fused, h_view)
         pos = mul(mul(cos, eye).sum(axis=1), inv_tau)        # diag(cos)/tau
         weighted = mul(cos, weights).exp()                   # exp((1 - S) cos / tau)
-        if config.mode == "self-excluded":
+        if config.ascl_mode == "self-excluded":
             den = mul(weighted, off_diag).sum(axis=1)
         else:
             raw = weighted.sum(axis=1) - self_term
-            clamped += int((raw.data < config.floor).sum())
-            den = raw.clamp_min(config.floor)
+            clamped += int((raw.data < config.ascl_floor).sum())
+            den = raw.clamp_min(config.ascl_floor)
         term = (pos - den.log()).sum()
         total = term if total is None else add(total, term)
 

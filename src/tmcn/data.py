@@ -21,6 +21,7 @@ import numpy as np
 
 MATRIX_MAGIC = b"MVCD"
 LABEL_MAGIC = b"MVCL"
+TARGET_RMS = 0.125   # quadratic mean of every view after ``rescale_views``
 
 
 class DataFormatError(ValueError):
@@ -272,22 +273,20 @@ def normalize_views(dataset: MultiViewDataset) -> MultiViewDataset:
                             n_clusters=dataset.n_clusters)
 
 
-def rescale_views(dataset: MultiViewDataset, target_rms: float = 0.125) -> MultiViewDataset:
+def rescale_views(dataset: MultiViewDataset) -> MultiViewDataset:
     """Center every feature column and scale each view to a common quadratic mean.
 
     Unlike per-column min-max scaling this is a single scalar stretch per
     view, so within-view geometry (and thus cluster structure) is kept
-    exactly; ``target_rms`` sets the overall signal level.  The default
-    keeps tokens small enough that the fusion gates open in their
-    quasi-linear band.  Constant views stay at zero.
+    exactly; ``TARGET_RMS`` sets the overall signal level, small enough
+    that the fusion gates open in their quasi-linear band.  Constant views
+    stay at zero.
     """
-    if target_rms <= 0:
-        raise ValueError(f"target_rms must be positive, got {target_rms}")
     scaled = []
     for v in dataset.views:
         centered = v - v.mean(axis=0)
         rms = np.sqrt((centered ** 2).mean())
-        scaled.append(centered * (target_rms / rms) if rms > 0 else centered)
+        scaled.append(centered * (TARGET_RMS / rms) if rms > 0 else centered)
     return MultiViewDataset(views=scaled, labels=dataset.labels, name=dataset.name,
                             n_clusters=dataset.n_clusters)
 

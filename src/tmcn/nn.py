@@ -7,14 +7,6 @@ import numpy as np
 from .tensor import ShapeError, Tensor, matmul, parameter
 
 
-def init_affine(fan_in: int, fan_out: int, rng: np.random.Generator):
-    """Uniform fan-in (He-style) weight init, zero bias."""
-    bound = np.sqrt(6.0 / fan_in)
-    w = parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    b = parameter(np.zeros(fan_out))
-    return w, b
-
-
 class Affine:
     """Single dense layer y = x @ w + b, applied along the last axis of x.
 
@@ -28,7 +20,10 @@ class Affine:
 
     @classmethod
     def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator) -> "Affine":
-        return cls(*init_affine(fan_in, fan_out, rng))
+        """Uniform fan-in (He-style) weight init, zero bias."""
+        bound = np.sqrt(6.0 / fan_in)
+        return cls(parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out))),
+                   parameter(np.zeros(fan_out)))
 
     @property
     def in_dim(self) -> int:

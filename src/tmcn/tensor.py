@@ -141,7 +141,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []          # (out, inputs, backward_fn)
+        self._records = []          # (out, backward_fn)
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -153,7 +153,8 @@ class Tape:
         return False
 
     def record(self, out: Tensor, inputs, backward_fn) -> None:
-        self._records.append((out, inputs, backward_fn))
+        """Append ``out`` and its backward closure; ``inputs`` is not kept."""
+        self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) on the ``.grad`` slot of every leaf reached."""
@@ -167,7 +168,7 @@ class Tape:
         # saved are freed before the ops upstream allocate their gradients
         records, self._records = self._records, []
         while records:
-            out, _inputs, fn = records.pop()
+            out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
 

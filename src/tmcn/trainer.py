@@ -31,7 +31,6 @@ from .autoencoder import ViewAutoencoder, reconstruction_loss
 from .clustering import ClusteringResult, MetricTriple, evaluate_labels, kmeans
 from .contrastive import (
     ASCL_MODES,
-    ContrastiveConfig,
     ProjectionHeads,
     average_similarity,
     contrastive_loss,
@@ -47,6 +46,7 @@ HISTORY_COLUMNS = ("epoch", "phase", "total_loss", "rec_loss", "ascl_loss",
                    "clamp_frac", "acc", "nmi", "pur")
 CHECKPOINT_MAGIC = b"TMCN"
 CHECKPOINT_VERSION = 3
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _is_int(value) -> bool:
@@ -136,10 +136,6 @@ class TrainConfig(ModelConfig):
     n_clusters: int | None = _count(None)
     eval_every: int = _count(0, low=0)  # epochs between metric rows; 0 disables
 
-    def contrastive(self) -> ContrastiveConfig:
-        return ContrastiveConfig(temperature=self.temperature, mode=self.ascl_mode,
-                                 floor=self.ascl_floor)
-
 
 # ---------------------------------------------------------------------------
 # model
@@ -191,9 +187,6 @@ class TmcnModel:
         u = concat(zs, axis=1)
         return u if self.fusion is None else self.fusion(u)
 
-    def project(self, u: Tensor, zs: list[Tensor]):
-        return project(u, zs, self.heads)
-
     def fused_embedding(self, views: list[np.ndarray]) -> np.ndarray:
         """Fused representation of every sample (no gradient tracking).
 
@@ -238,15 +231,12 @@ class TmcnModel:
 # optimizer
 
 class Adam:
-    """Adam with per-parameter step counts; parameters without a gradient are skipped."""
+    """Adam with ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS`` and per-parameter step
+    counts; parameters without a gradient are skipped."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._t = {name: 0 for name in params}
@@ -256,11 +246,11 @@ class Adam:
             if p.grad is None:
                 continue
             t = self._t[name] = self._t[name] + 1
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * p.grad
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * p.grad ** 2
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = self._m[name] = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * p.grad
+            v = self._v[name] = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * p.grad ** 2
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -315,13 +305,15 @@ def _batches(order: np.ndarray, batch: int) -> list[np.ndarray]:
 
 def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, TrainHistory]:
     """Run both phases; returns the trained model and the per-epoch history."""
+    lam = 0.0 if config.mode == "no-ascl" else config.ascl_weight
+    n = dataset.n_samples
+    if n < 2 and config.joint_epochs and lam > 0.0:
+        raise ValueError(f"the contrastive term needs at least 2 samples, the dataset has "
+                         f"{n}; train with joint_epochs=0, ascl_weight=0 or mode no-ascl")
     model = TmcnModel.from_config(dataset.view_dims, config)
     params = model.params()
     opt = Adam(params, lr=config.learning_rate)
     shuffle_rng = np.random.default_rng([config.seed, 4])
-    ccfg = config.contrastive()
-    lam = 0.0 if config.mode == "no-ascl" else config.ascl_weight
-    n = dataset.n_samples
     batch = min(config.batch_size, n)
     history = TrainHistory()
 
@@ -350,8 +342,8 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
                         if contrast_on:
                             u = model.fuse(zs)
                             sim = average_similarity([view_similarity(z.data) for z in zs])
-                            h_fused, h_views = model.project(u, zs)
-                            closs, stats = contrastive_loss(h_fused, h_views, sim, ccfg)
+                            h_fused, h_views = project(u, zs, model.heads)
+                            closs, stats = contrastive_loss(h_fused, h_views, sim, config)
                             if not np.isfinite(closs.item()):
                                 raise TrainingDiverged(
                                     f"epoch {epoch}: contrastive term went non-finite")
@@ -393,14 +385,14 @@ class EvalResult:
 
 
 def evaluate(model: TmcnModel, dataset: MultiViewDataset, k: int | None = None,
-             seed: int = 0, restarts: int = 10) -> EvalResult:
-    """K-means on the fused representation; metrics when labels exist."""
+             seed: int = 0) -> EvalResult:
+    """K-means (default restarts) on the fused representation; metrics when labels exist."""
     if k is None:
         k = dataset.n_clusters
     if k is None:
         raise ValueError("no cluster count available: pass k or use a labeled dataset")
     embedding = model.fused_embedding(dataset.views)
-    clustering = kmeans(embedding, k, seed=seed, restarts=restarts)
+    clustering = kmeans(embedding, k, seed=seed)
     metrics = None
     if dataset.labels is not None:
         metrics = evaluate_labels(clustering.assignments, dataset.labels)

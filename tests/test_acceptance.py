@@ -28,7 +28,6 @@ from helpers import (
     scan_reference,
 )
 from tmcn import (
-    ContrastiveConfig,
     ModelConfig,
     SyntheticSpec,
     Tape,
@@ -53,6 +52,7 @@ from tmcn import (
     view_similarity,
 )
 from tmcn.cli import main
+from tmcn.contrastive import project
 from tmcn.fusion import MambaParams, selective_scan
 
 # the pinned release configuration: every end-to-end criterion runs at
@@ -115,7 +115,7 @@ def _full_graph_fd_error():
         clearance = min(np.abs(pre).min(), np.abs(dpre).min())
         assert clearance > 1e-3, \
             f"view{m}: pre-activation {clearance:.1e} from a ReLU kink, FD unusable"
-    ccfg = ContrastiveConfig(temperature=0.5)
+    ccfg = TrainConfig(temperature=0.5)
     sim = average_similarity([view_similarity(z.data)
                               for z in model.encode_views(xs)])
 
@@ -123,7 +123,7 @@ def _full_graph_fd_error():
         zs = model.encode_views(xs)
         rec = reconstruction_loss(xs, model.decode_views(zs))
         u = model.fuse(zs)
-        h_fused, h_views = model.project(u, zs)
+        h_fused, h_views = project(u, zs, model.heads)
         closs, _ = contrastive_loss(h_fused, h_views, sim, ccfg)
         return rec * 0.25 + closs * 0.5   # per-sample rec plus weighted contrast
 
@@ -241,7 +241,7 @@ def test_criterion_5_contrastive_closed_form(capsys):
     sim = np.eye(2)
     loss, stats = contrastive_loss(
         h, [Tensor(np.eye(2))], sim,
-        ContrastiveConfig(temperature=1.0, mode="self-excluded"))
+        TrainConfig(temperature=1.0, ascl_mode="self-excluded"))
     ref_loss, _ = contrastive_reference(
         [cosine_matrix_reference(np.eye(2), np.eye(2))], sim,
         1.0, "self-excluded", 1e-8)
@@ -252,7 +252,7 @@ def test_criterion_5_contrastive_closed_form(capsys):
     # geometry's denominator negative: the floor must catch every term
     lit_loss, lit_stats = contrastive_loss(
         h, [Tensor(np.eye(2))], sim,
-        ContrastiveConfig(temperature=1.0, mode="literal", floor=1e-8))
+        TrainConfig(temperature=1.0, ascl_mode="literal", ascl_floor=1e-8))
     floored = lit_stats.clamp_frac == 1.0 and np.isfinite(lit_loss.item())
     ok = closed and floored
     _report(capsys, 5, ok, f"self-excluded loss {loss.item():+.9f} (expect -0.5), "

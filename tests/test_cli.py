@@ -219,6 +219,19 @@ def test_model_too_large_to_build_is_a_clean_error(tmp_path, dataset_dir, capsys
     assert len(err) == 1 and err[0].startswith("error: model too large to build: [5, 4], ")
 
 
+def test_one_sample_dataset_with_a_contrastive_phase_is_a_clean_error(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--samples", "1", "--clusters", "1", "--views", "3,4",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(data / "manifest.json"), "--out", str(out),
+                 *TINY_SETS, "--set", "pretrain_epochs=1", "--set", "joint_epochs=1"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "the dataset has 1;" in err[0]
+    assert not (out / "checkpoint.tmcn").exists()
+
+
 def test_unknown_set_field_is_a_clean_error(tmp_path, dataset_dir, capsys):
     code = main(["train", "--dataset", str(dataset_dir / "manifest.json"),
                  "--out", str(tmp_path), "--set", "bogus=1"])

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import check_grads, contrastive_reference, cosine_matrix_reference
 from tmcn.contrastive import (
-    ContrastiveConfig,
     ContrastiveStats,
     ProjectionHeads,
     average_similarity,
@@ -14,6 +13,7 @@ from tmcn.contrastive import (
     view_similarity,
 )
 from tmcn.tensor import ShapeError, Tape, Tensor, parameter
+from tmcn.trainer import TrainConfig
 
 
 def _random_inputs(rng, n=5, m=2, d=4):
@@ -85,7 +85,7 @@ def test_two_sample_closed_form():
     # orthogonal pairs at tau=1: pos term 1, denominator 1, loss -(1/4)*2
     h = Tensor(np.eye(2))
     sim = np.eye(2)
-    config = ContrastiveConfig(temperature=1.0, mode="self-excluded")
+    config = TrainConfig(temperature=1.0, ascl_mode="self-excluded")
     loss, stats = contrastive_loss(h, [Tensor(np.eye(2))], sim, config)
     assert loss.item() == pytest.approx(-0.5, abs=1e-9)
     assert stats.clamped == 0 and stats.terms == 2
@@ -94,7 +94,7 @@ def test_two_sample_closed_form():
 def test_two_sample_literal_mode_clamps_every_term():
     # same geometry: sum over all j gives 2, minus e**(1/tau) = e goes negative
     h = Tensor(np.eye(2))
-    config = ContrastiveConfig(temperature=1.0, mode="literal", floor=1e-8)
+    config = TrainConfig(temperature=1.0, ascl_mode="literal", ascl_floor=1e-8)
     loss, stats = contrastive_loss(h, [Tensor(np.eye(2))], np.eye(2), config)
     assert stats.clamp_frac == 1.0
     assert stats.terms == 2
@@ -106,7 +106,7 @@ def test_loss_matches_term_by_term_reference(mode):
     rng = np.random.default_rng(3)
     for _ in range(8):
         h_fused, h_views, sim = _random_inputs(rng)
-        config = ContrastiveConfig(temperature=0.7, mode=mode, floor=1e-8)
+        config = TrainConfig(temperature=0.7, ascl_mode=mode, ascl_floor=1e-8)
         loss, stats = contrastive_loss(h_fused, h_views, sim, config)
         cos_mats = [cosine_matrix_reference(h_fused.data, h.data) for h in h_views]
         ref_loss, ref_clamped = contrastive_reference(cos_mats, sim, 0.7, mode, 1e-8)
@@ -120,7 +120,7 @@ def test_higher_similarity_weakens_repulsion():
     rng = np.random.default_rng(4)
     h_fused = Tensor(rng.uniform(0.5, 1.5, size=(4, 3)))
     h_views = [Tensor(rng.uniform(0.5, 1.5, size=(4, 3)))]
-    config = ContrastiveConfig(temperature=0.5)
+    config = TrainConfig(temperature=0.5)
     flat = np.eye(4)
     merged = np.full((4, 4), 0.9)
     np.fill_diagonal(merged, 1.0)
@@ -133,7 +133,7 @@ def test_loss_is_invariant_under_a_common_rotation():
     rng = np.random.default_rng(5)
     h_fused, h_views, sim = _random_inputs(rng, n=6, m=2, d=4)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    config = ContrastiveConfig()
+    config = TrainConfig()
     base, _ = contrastive_loss(h_fused, h_views, sim, config)
     rot, _ = contrastive_loss(Tensor(h_fused.data @ q),
                               [Tensor(h.data @ q) for h in h_views], sim, config)
@@ -151,7 +151,7 @@ def test_gradients_match_finite_differences(mode):
     h_views = [parameter(rng.normal(size=(n, d))) for _ in range(m)]
     sim = average_similarity([view_similarity(rng.normal(size=(n, 6))) for _ in range(m)])
     # wide temperature keeps the literal denominator clear of its floor
-    config = ContrastiveConfig(temperature=2.0, mode=mode, floor=1e-8)
+    config = TrainConfig(temperature=2.0, ascl_mode=mode, ascl_floor=1e-8)
     _, stats = contrastive_loss(h_fused, h_views, sim, config)
     assert stats.clamped == 0
 
@@ -170,7 +170,7 @@ def test_similarity_enters_as_a_constant():
     h_view = parameter(rng.normal(size=(4, 3)))
     with Tape() as tape:
         sim = view_similarity(z.data)
-        loss, _ = contrastive_loss(h_fused, [h_view], sim, ContrastiveConfig())
+        loss, _ = contrastive_loss(h_fused, [h_view], sim, TrainConfig())
         tape.backward(loss)
     assert z.grad is None
     assert h_fused.grad is not None and h_view.grad is not None
@@ -180,26 +180,17 @@ def test_similarity_enters_as_a_constant():
 # validation
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="temperature"):
-        ContrastiveConfig(temperature=0.0)
-    with pytest.raises(ValueError, match="mode"):
-        ContrastiveConfig(mode="both")
-    with pytest.raises(ValueError, match="floor"):
-        ContrastiveConfig(floor=0.0)
-
-
-
-@pytest.mark.parametrize("field, value", [
-    ("temperature", float("inf")), ("temperature", float("nan")), ("temperature", "0.5"),
-    ("floor", float("nan")), ("floor", True),
-])
-def test_config_refuses_non_finite_or_non_numeric_values(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be a finite positive number, got"):
-        ContrastiveConfig(**{field: value})
+    # the loss reads these TrainConfig fields, and each error names the field
+    with pytest.raises(ValueError, match="^temperature must"):
+        TrainConfig(temperature=0.0)
+    with pytest.raises(ValueError, match="^ascl_mode must be one of"):
+        TrainConfig(ascl_mode="both")
+    with pytest.raises(ValueError, match="^ascl_floor must"):
+        TrainConfig(ascl_floor=0.0)
 
 
 def test_loss_input_validation():
-    config = ContrastiveConfig()
+    config = TrainConfig()
     one = Tensor(np.ones((1, 3)))
     two = Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError, match="batch"):

@@ -204,10 +204,10 @@ def test_rescale_hits_the_target_level_per_view():
     rng = np.random.default_rng(11)
     ds = MultiViewDataset(views=[rng.normal(size=(40, 3)) * 9.0,
                                  rng.normal(size=(40, 5)) + 100.0])
-    out = rescale_views(ds, target_rms=0.25)
+    out = rescale_views(ds)
     for v in out.views:
         assert abs(v.mean(axis=0)).max() < 1e-6
-        assert np.sqrt((v ** 2).mean()) == pytest.approx(0.25, rel=1e-6)
+        assert np.sqrt((v ** 2).mean()) == pytest.approx(0.125, rel=1e-6)
 
 
 def test_rescale_preserves_within_view_geometry():
@@ -227,8 +227,6 @@ def test_rescale_constant_view_stays_zero():
     ds = MultiViewDataset(views=[np.full((6, 2), 3.0)])
     out = rescale_views(ds)
     assert np.array_equal(out.views[0], np.zeros((6, 2)))
-    with pytest.raises(ValueError, match="target_rms"):
-        rescale_views(ds, target_rms=0.0)
 
 
 # ---------------------------------------------------------------------------

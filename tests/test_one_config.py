@@ -11,9 +11,6 @@ from tmcn.trainer import TrainConfig
 
 PACKAGE = Path(tmcn.__file__).parent
 
-# same name, different setting: the loss's denominator convention (TrainConfig.ascl_mode)
-ALLOWED = {("ContrastiveConfig", "mode")}
-
 
 def _class_fields(tree):
     for node in ast.walk(tree):
@@ -30,7 +27,7 @@ def test_model_shape_fields_are_declared_once():
     assert "seq_len" in shape and "conv_width" in shape
     found = [f"{file}:{line} {cls}.{name}"
              for file, entries in declared.items() for cls, name, line in entries
-             if cls != "ModelConfig" and name in shape and (cls, name) not in ALLOWED]
+             if cls != "ModelConfig" and name in shape]
     assert not found, f"ModelConfig fields declared again: {', '.join(found)}"
 
 

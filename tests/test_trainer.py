@@ -104,7 +104,9 @@ def test_train_config_run_counts_keep_their_floors_and_take_numpy_integers():
     ("ascl_weight", math.nan, "non-negative"), ("ascl_weight", -1.0, "non-negative"),
     ("ascl_weight", True, "non-negative"), ("temperature", math.inf, "positive"),
     ("temperature", math.nan, "positive"), ("temperature", 0, "positive"),
-    ("ascl_floor", -math.inf, "positive"), ("ascl_floor", False, "positive"),
+    ("temperature", "0.5", "positive"), ("ascl_floor", -math.inf, "positive"),
+    ("ascl_floor", False, "positive"), ("ascl_floor", True, "positive"),
+    ("ascl_floor", math.nan, "positive"),
 ])
 def test_train_config_refuses_non_finite_or_non_numeric_floats(field, value, kind):
     with pytest.raises(ValueError, match=rf"^{field} must be a finite {kind} number, got "
@@ -115,7 +117,7 @@ def test_train_config_refuses_non_finite_or_non_numeric_floats(field, value, kin
 def test_train_config_floats_take_ints_and_numpy_floats():
     config = _tiny_config(learning_rate=1, ascl_weight=0, temperature=np.float32(0.5),
                           ascl_floor=np.float64(1e-6))
-    assert config.learning_rate == 1 and config.contrastive().temperature == 0.5
+    assert config.learning_rate == 1 and config.temperature == 0.5
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -182,6 +184,21 @@ def test_training_is_bit_reproducible():
     m2, h2 = train(_tiny_config(), ds)
     assert _params_equal(m1.params(), m2.params())
     assert h1.records == h2.records
+
+
+def test_one_sample_refuses_a_contrastive_phase_before_the_first_step(monkeypatch):
+    one = _tiny_dataset(n=1, k=1)
+
+    def step(self):
+        raise AssertionError("an optimizer step ran before the sample count was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Adam, "step", step)
+        with pytest.raises(ValueError, match="at least 2 samples, the dataset has 1;"):
+            train(_tiny_config(), one)
+    for overrides in ({"mode": "no-ascl"}, {"ascl_weight": 0.0}, {"joint_epochs": 0}):
+        _, history = train(_tiny_config(**overrides), one)
+        assert len(history.records) == 2 + overrides.get("joint_epochs", 2)
 
 
 def test_zero_weight_matches_no_ascl_exactly():
