@@ -189,6 +189,15 @@ def test_config_validation():
         TrainConfig(ascl_floor=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("temperature", float("inf")), ("temperature", float("nan")),
+])
+def test_config_refuses_non_finite_or_non_numeric_values(field, value):
+    # the temperature the loss divides by is refused when the config is built
+    with pytest.raises(ValueError, match=f"^{field} must be a finite positive number, got"):
+        TrainConfig(**{field: value})
+
+
 def test_loss_input_validation():
     config = TrainConfig()
     one = Tensor(np.ones((1, 3)))
