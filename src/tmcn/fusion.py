@@ -38,6 +38,7 @@ from .tensor import (
     matmul,
     mul,
     parameter,
+    recompute_rows,
     reshape,
     silu,
     softplus,
@@ -63,18 +64,14 @@ class MambaParams:
 def selective_scan(x: Tensor, params: MambaParams) -> Tensor:
     """Left-to-right input-dependent recurrence over a (N, L, dp) sequence.
 
-    The delta, B and C projections are taped ``matmul`` calls straight on
-    the (N, L, dp) tokens, ``delta_bias`` added as the delta projection's
-    bias operand, so the tape keeps one (N, L, dp) array for it before the
-    softplus.  The recurrence itself is the fused ``state_scan`` kernel.
-    It holds the state as (rows, n, dp), channels innermost, and sweeps
-    the rows in blocks of 64
-    (``tensor.SCAN_BLOCK_ROWS``).  Its backward pass replays each block's
-    states from sqrt(L)-spaced checkpoints instead of taping every step,
-    so beyond the checkpoints it holds O(sqrt(L)) state slabs of one row
-    block.
+    The delta, B and C projections are ``matmul`` calls straight on the
+    (N, L, dp) tokens, ``delta_bias`` added as the delta projection's
+    bias operand.  The recurrence is the fused ``state_scan`` kernel,
+    which keeps every step's state when taped; the block hands it one
+    chunk of rows at a time.
 
-    Raises on a non-finite state, naming the earliest offending step.
+    Raises on a non-finite state, naming the earliest offending step over
+    the rows of ``x``.
     """
     if x.ndim != 3:
         raise ShapeError(f"selective-scan: expected (N, L, dp), got {x.shape}")
@@ -131,17 +128,26 @@ class SelectiveFusion:
         self.contract = Affine.init(dp, d, rng)
 
     def forward(self, u: Tensor) -> Tensor:
-        """Fuse the concatenated view embeddings (N, M*l*d) into a vector of that shape."""
+        """Fuse the concatenated view embeddings (N, M*l*d) into a vector of that shape.
+
+        Each sample is fused on its own, so the block runs through
+        ``recompute_rows`` in chunks of ``CHUNK_ROWS`` rows, and the tape
+        keeps only ``u``.  A non-finite scan state raises naming the
+        earliest step in the first chunk that fails.
+        """
         d = self.config.seq_dim
         length = self.n_views * self.config.seq_len
         if u.ndim != 2 or u.shape[1] != length * d:
             raise ShapeError(f"fusion: expected (N, {length * d}), got {u.shape}")
-        n = u.shape[0]
-        tokens = reshape(u, (n, length, d))
+        return recompute_rows(self._fuse_rows, u, self.params().values())
+
+    def _fuse_rows(self, u: Tensor) -> Tensor:
+        n, width = u.shape
+        tokens = reshape(u, (n, width // self.config.seq_dim, self.config.seq_dim))
         causal = silu(conv1d_depthwise(self.branch_p(tokens), self.kernel))
         scanned = selective_scan(causal, self.ssm)
         gated = mul(scanned, silu(self.branch_q(tokens)))
-        return reshape(self.contract(gated), (n, length * d))
+        return reshape(self.contract(gated), (n, width))
 
     __call__ = forward
 

@@ -125,7 +125,7 @@ def parameter(data) -> Tensor:
 # ---------------------------------------------------------------------------
 # tape
 
-_TAPES: list["Tape"] = []
+_TAPES: list["Tape | None"] = []   # None: ops record nothing
 
 
 def active_tape():
@@ -163,7 +163,11 @@ class Tape:
         self._spent = True
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-        loss.grad = np.ones_like(loss.data)
+        self._sweep(loss, np.ones_like(loss.data))
+
+    def _sweep(self, out: Tensor, grad: np.ndarray) -> None:
+        """Seed ``out`` with ``grad`` and run every record once, newest first."""
+        out.grad = grad
         # each record is dropped once it has run, so the arrays its closure
         # saved are freed before the ops upstream allocate their gradients
         records, self._records = self._records, []
@@ -229,11 +233,13 @@ def matmul(a, b, bias=None) -> Tensor:
     data = data.reshape(a.shape[:-1] + b.shape[1:])
 
     def backward(g):
-        if bias is not None:
+        if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.shape))
         g = g.reshape(-1, b.shape[1])
-        _accum(a, (g @ b.data.T).reshape(a.shape))
-        _accum(b, rows.T @ g)
+        if a.requires_grad:
+            _accum(a, (g @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _accum(b, rows.T @ g)
 
     return _make(data, (a, b) if bias is None else (a, b, bias), backward)
 
@@ -246,8 +252,9 @@ def _broadcast_binary(name, a, b, fwd, da, db) -> Tensor:
         raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def backward(g):
-        _accum(a, _unbroadcast(da(g, a.data, b.data), a.shape))
-        _accum(b, _unbroadcast(db(g, a.data, b.data), b.shape))
+        for t, dt in ((a, da), (b, db)):
+            if t.requires_grad:
+                _accum(t, _unbroadcast(dt(g, a.data, b.data), t.shape))
 
     return _make(data, (a, b), backward)
 
@@ -504,28 +511,6 @@ def conv1d_depthwise(x, kernel) -> Tensor:
     return _make(data, (x, kernel), backward)
 
 
-# Rows per sweep of the scan kernel.  At L = 24 tokens, C = 32 channels
-# and S = 8 states, one block's sqrt(L) segment of replayed states and
-# decays is 11 slabs of 128 KiB, inside a 2 MiB L2.  A 256-row forward +
-# backward there took 50, 48 and 50 ms at 32, 64 and 128 rows per block,
-# and at C = 1536 2.5, 2.6 and 3.1 s (one thread, 2-vCPU x86 VM).
-SCAN_BLOCK_ROWS = 64
-
-
-def _scan_step(h, out, decay, scratch, dt, bt, ut, at) -> None:
-    """One step for a row block: ``out = exp(dt*a) * h + b (x) (dt*x)``.
-
-    The forward pass and the backward replay both step through here, so
-    the replayed states are the forward's bit for bit.  ``decay`` keeps
-    exp(dt*a); ``out`` may be ``h``.
-    """
-    np.einsum("nc,sc->nsc", dt, at, out=decay)
-    np.exp(decay, out=decay)
-    np.multiply(decay, h, out=out)
-    np.einsum("ns,nc->nsc", bt, ut, out=scratch)
-    np.add(out, scratch, out=out)
-
-
 def state_scan(x, delta, b_seq, c_seq, a, skip) -> Tensor:
     """Input-dependent linear state recurrence along the token axis.
 
@@ -535,18 +520,15 @@ def state_scan(x, delta, b_seq, c_seq, a, skip) -> Tensor:
     channel's state decays by exp(delta*a), absorbs delta*b*x, and the
     output token is <c, h> plus skip*x.
 
-    The kernel holds the state as (rows, S, C), channels innermost,
-    contracts it with batched ``matmul`` and writes every step into
-    preallocated buffers.  It sweeps the rows in blocks of
-    ``SCAN_BLOCK_ROWS``, each block through all L steps.  The forward
-    pass keeps the state entering every sqrt(L)-th step; the backward
-    pass replays one block's segment at a time from those checkpoints
-    rather than taping every step, so beyond the checkpoints live memory
-    stays at O(sqrt(L)) state slabs of one row block no matter the
-    sequence length.
+    The kernel holds the state as (N, S, C), channels innermost, and
+    contracts it with batched ``matmul``.  Untaped, it keeps one state
+    slab.  Taped, it keeps every step's state, L + 1 slabs of N*S*C
+    floats, and its backward is one reverse sweep over them that
+    recomputes each step's decay; the fusion block bounds N by
+    ``CHUNK_ROWS`` (``recompute_rows``).
 
     Raises on a non-finite state, naming the earliest offending step
-    over all rows.
+    over all N rows.
     """
     x, delta = _as_tensor(x), _as_tensor(delta)
     b_seq, c_seq = _as_tensor(b_seq), _as_tensor(c_seq)
@@ -570,86 +552,96 @@ def state_scan(x, delta, b_seq, c_seq, a, skip) -> Tensor:
     inputs = (x, delta, b_seq, c_seq, a, skip)
     track = active_tape() is not None and any(t.requires_grad for t in inputs)
     at = np.ascontiguousarray(av.T)                 # (S, C)
-    stride = max(1, int(np.ceil(np.sqrt(length))))
-    n_seg = -(-length // stride)
-    block = max(1, min(SCAN_BLOCK_ROWS, n))
-    blocks = [slice(r, min(r + block, n)) for r in range(0, n, block)]
-    # state entering step seg*stride, all rows
-    checkpoints = np.empty((n_seg, n, state, channels)) if track else None
-    h = np.empty((block, state, channels))
+    h = np.zeros((n, state, channels))
     decay = np.empty_like(h)
     inflow = np.empty_like(h)
-    drive = np.empty((block, length, channels))    # delta*x, then skip*x
+    states = np.zeros((length + 1,) + h.shape) if track else None   # states[t] enters step t
+    drive = dv * xv                                 # delta*x
     y = np.empty_like(xv)
-    # earliest non-finite step over the blocks so far; a later block only
-    # scans the steps before it, and nothing after it is written to y
-    first_bad = length
-    for rows in blocks:
-        nb = rows.stop - rows.start
-        hb, db, ib, u = h[:nb], decay[:nb], inflow[:nb], drive[:nb]
-        hb.fill(0.0)
-        np.multiply(dv[rows], xv[rows], out=u)
-        for t in range(first_bad):
-            if track and t % stride == 0:
-                checkpoints[t // stride, rows] = hb
-            _scan_step(hb, hb, db, ib, dv[rows, t], bv[rows, t], u[:, t], at)
-            if not np.isfinite(hb).all():
-                first_bad = t
-                break
-            np.matmul(cv[rows, t, None, :], hb, out=y[rows, t, None, :])
-        if first_bad == length:
-            np.multiply(xv[rows], sv, out=u)
-            np.add(y[rows], u, out=y[rows])
-    if first_bad < length:
-        raise FloatingPointError(f"state-scan: non-finite state at step {first_bad}")
+    for t in range(length):
+        prev, h = (states[t], states[t + 1]) if track else (h, h)
+        np.einsum("nc,sc->nsc", dv[:, t], at, out=decay)
+        np.exp(decay, out=decay)
+        np.multiply(decay, prev, out=h)
+        np.einsum("ns,nc->nsc", bv[:, t], drive[:, t], out=inflow)
+        np.add(h, inflow, out=h)
+        if not np.isfinite(h).all():
+            raise FloatingPointError(f"state-scan: non-finite state at step {t}")
+        np.matmul(cv[:, t, None, :], h, out=y[:, t, None, :])
+    y += xv * sv
 
     def backward(g):
-        gx = np.empty_like(xv)
-        gdelta = np.empty_like(dv)
         gb = np.empty_like(bv)
         gc = np.empty_like(cv)
         ga = np.zeros_like(av)
-        gskip = np.zeros_like(sv)
-        states = np.empty((stride + 1, block, state, channels))  # entering each step, and after
-        decays = np.empty((stride, block, state, channels))
-        gh = np.empty((block, state, channels))
+        gh = np.zeros((n, state, channels))
         work = np.empty_like(gh)
-        drive = np.empty((block, length, channels))   # delta*x
-        g_dx = np.empty_like(drive)                   # grad at delta*x, summed over states
-        g_da = np.empty_like(drive)                   # grad at delta through the exponent
-        for rows in blocks:
-            nb = rows.stop - rows.start
-            ghb, wb, u = gh[:nb], work[:nb], drive[:nb]
-            ghb.fill(0.0)
-            np.multiply(dv[rows], xv[rows], out=u)
-            for seg in range(n_seg - 1, -1, -1):
-                start = seg * stride
-                stop = min(start + stride, length)
-                st, dc = states[:, :nb], decays[:, :nb]
-                st[0] = checkpoints[seg, rows]
-                for i, t in enumerate(range(start, stop)):
-                    _scan_step(st[i], st[i + 1], dc[i], wb, dv[rows, t], bv[rows, t], u[:, t], at)
-                for t in range(stop - 1, start - 1, -1):
-                    i = t - start
-                    gy = g[rows, t]
-                    np.matmul(st[i + 1], gy[:, :, None], out=gc[rows, t, :, None])
-                    np.einsum("ns,nc->nsc", cv[rows, t], gy, out=wb)
-                    np.add(ghb, wb, out=ghb)
-                    np.matmul(bv[rows, t, None, :], ghb, out=g_dx[:nb, t, None, :])
-                    np.matmul(ghb, u[:, t, :, None], out=gb[rows, t, :, None])
-                    np.multiply(ghb, st[i], out=wb)
-                    np.multiply(wb, dc[i], out=wb)          # grad at the exponent delta*a
-                    np.einsum("nsc,sc->nc", wb, at, out=g_da[:nb, t])
-                    ga += np.einsum("nsc,nc->cs", wb, dv[rows, t])
-                    np.multiply(ghb, dc[i], out=ghb)
-            gx[rows] = g_dx[:nb] * dv[rows] + g[rows] * sv
-            gdelta[rows] = g_dx[:nb] * xv[rows] + g_da[:nb]
-            gskip += (g[rows] * xv[rows]).sum(axis=(0, 1))
-        _accum(x, gx)
-        _accum(delta, gdelta)
+        decay = np.empty_like(gh)
+        g_dx = np.empty_like(xv)    # grad at delta*x, summed over states
+        g_da = np.empty_like(xv)    # grad at delta through the exponent
+        for t in range(length - 1, -1, -1):
+            gy = g[:, t]
+            np.einsum("nc,sc->nsc", dv[:, t], at, out=decay)
+            np.exp(decay, out=decay)
+            np.matmul(states[t + 1], gy[:, :, None], out=gc[:, t, :, None])
+            np.einsum("ns,nc->nsc", cv[:, t], gy, out=work)
+            np.add(gh, work, out=gh)
+            np.matmul(bv[:, t, None, :], gh, out=g_dx[:, t, None, :])
+            np.matmul(gh, drive[:, t, :, None], out=gb[:, t, :, None])
+            np.multiply(gh, states[t], out=work)
+            np.multiply(work, decay, out=work)          # grad at the exponent delta*a
+            np.einsum("nsc,sc->nc", work, at, out=g_da[:, t])
+            ga += np.einsum("nsc,nc->cs", work, dv[:, t])
+            np.multiply(gh, decay, out=gh)
+        _accum(x, g_dx * dv + g * sv)
+        _accum(delta, g_dx * xv + g_da)
         _accum(b_seq, gb)
         _accum(c_seq, gc)
         _accum(a, ga)
-        _accum(skip, gskip)
+        _accum(skip, (g * xv).sum(axis=(0, 1)))
 
     return _make(y, inputs, backward)
+
+
+# ---------------------------------------------------------------------------
+# row-chunked recomputation
+
+# Rows per chunk of ``recompute_rows``; a prototype of the fusion block read a
+# higher peak RSS and a longer train time at 128- and 256-row chunks.
+CHUNK_ROWS = 64
+
+
+def recompute_rows(fn, x, params) -> Tensor:
+    """``fn(x)`` for a row-separable ``fn``, taped as one node that keeps only ``x``.
+
+    Row i of ``fn``'s output depends only on row i of its input and on
+    the tensors in ``params``.  The forward runs ``fn`` untaped on chunks
+    of ``CHUNK_ROWS`` rows.  The backward reruns each chunk under a tape
+    of its own, seeded with that chunk's rows of the output gradient, and
+    the parameters add up ``.grad`` over the chunks: gradient
+    checkpointing at block granularity (Chen et al., arXiv 1604.06174).
+    An error raised in the forward comes from the first chunk that fails.
+    """
+    x = _as_tensor(x)
+    if x.ndim < 1:
+        raise ShapeError(f"recompute-rows: expected rows, got shape {x.shape}")
+    n = x.shape[0]
+    chunks = [slice(r, min(r + CHUNK_ROWS, n)) for r in range(0, n, CHUNK_ROWS)] or [slice(0, 0)]
+    _TAPES.append(None)             # no tape: fn records nothing in the forward
+    try:
+        data = np.concatenate([fn(Tensor(x.data[rows])).data for rows in chunks])
+    finally:
+        _TAPES.pop()
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        for rows in chunks:
+            part = Tensor(x.data[rows], requires_grad=x.requires_grad)
+            with Tape() as tape:
+                out = fn(part)
+            tape._sweep(out, g[rows])
+            if part.grad is not None:
+                gx[rows] = part.grad
+        _accum(x, gx)
+
+    return _make(data, (x, *params), backward)

@@ -80,8 +80,8 @@ def check_grads(build_fn, leaves, rtol=1e-5, h=1e-6, seed=0):
 
 OP_KINDS = (
     "add", "clamp-min", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
-    "elementwise-mul", "exp", "log", "matmul", "reshape", "scalar-mul", "silu",
-    "softplus", "square", "state-scan", "sub", "sum",
+    "elementwise-mul", "exp", "log", "matmul", "recompute-rows", "reshape", "scalar-mul",
+    "silu", "softplus", "square", "state-scan", "sub", "sum",
 )
 
 
@@ -138,13 +138,22 @@ def op_grad_case(kind, rng):
         return leaves, lambda: T.conv1d_depthwise(*leaves)
     if kind == "state-scan":
         # delta positive and decay rates negative, the recurrence's domain
-        length = [1, 3, 6][int(rng.integers(3))]  # 6 > ceil(sqrt(6)) hits multi-segment replay
+        length = [1, 3, 6][int(rng.integers(3))]
         leaves = [normal(2, length, 3),
                   parameter(rng.uniform(0.05, 0.8, size=(2, length, 3))),
                   normal(2, length, 2), normal(2, length, 2),
                   parameter(rng.uniform(-2.0, -0.2, size=(3, 2))),
                   normal(3)]
         return leaves, lambda: T.state_scan(*leaves)
+    if kind == "recompute-rows":
+        # a ragged second chunk half the time; the function reads its input twice
+        n = [3, T.CHUNK_ROWS + 2][int(rng.integers(2))]
+        leaves = [normal(n, 3), normal(3, 3), normal(3)]
+
+        def rows_fn(v):
+            return T.mul(T.silu(T.matmul(v, leaves[1], leaves[2])), v)
+
+        return leaves, lambda: T.recompute_rows(rows_fn, leaves[0], leaves[1:])
     raise ValueError(f"no gradient case for op kind {kind!r}")
 
 

@@ -1,11 +1,21 @@
 """Fusion block tests: scan semantics, token layout, numpy reference, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import check_grads, conv_causal_reference, scan_reference
 from tmcn.fusion import MambaParams, SelectiveFusion, selective_scan
-from tmcn.tensor import SCAN_BLOCK_ROWS, ShapeError, Tape, Tensor, concat, parameter, state_scan
+from tmcn.tensor import (
+    CHUNK_ROWS,
+    ShapeError,
+    Tape,
+    Tensor,
+    concat,
+    parameter,
+    state_scan,
+)
 from tmcn.trainer import ModelConfig
 
 
@@ -91,9 +101,8 @@ def _scan_grads(arrays, probe):
 
 
 def test_scan_across_row_blocks_matches_reference_and_one_row_calls():
-    # 130 rows sweep as blocks of 64, 64 and 2; 6 tokens replay in 2 segments
+    # one 130-row call, taped, against the reference and against 130 one-row calls
     n = 130
-    assert SCAN_BLOCK_ROWS == 64
     rng = np.random.default_rng(15)
     params = _random_scan_params(rng, 3, 2)
     x = rng.normal(size=(n, 6, 3))
@@ -116,7 +125,7 @@ def test_scan_across_row_blocks_matches_reference_and_one_row_calls():
 
 
 def test_scan_names_the_earliest_non_finite_step_across_row_blocks():
-    # row 3 sits in the first block and breaks at step 4, row 70 in the second at step 1
+    # row 3 breaks at step 4 and row 70 at step 1: one call names the earliest over all rows
     x, delta, b_seq, c_seq, a, skip = _raw_scan_inputs(np.random.default_rng(16), 130, 6, 3, 2)
     x[3, 4, 0] = np.inf
     x[70, 1, 0] = np.inf
@@ -220,3 +229,92 @@ def test_full_block_gradients_match_finite_differences():
     zs = [parameter(rng.normal(size=(2, 4))) for _ in range(2)]
     leaves = list(block.params().values()) + zs
     check_grads(lambda: block(concat(zs, axis=1)), leaves, rtol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the block in row chunks
+
+# the acceptance widths: 3 views of 8 tokens of width 16, dp = 32, 8 states
+ACCEPTANCE_WIDTHS = dict(seq_len=8, seq_dim=16, state_size=8)
+
+
+def _block_grads(block, u, probe):
+    leaf = parameter(u)
+    for param in block.params().values():
+        param.grad = None
+    with Tape() as tape:
+        tape.backward((block(leaf) * Tensor(probe)).sum())
+    return [leaf.grad] + [param.grad for param in block.params().values()]
+
+
+def test_ragged_chunks_match_the_one_row_calls():
+    # 130 rows run as chunks of 64, 64 and 2
+    assert CHUNK_ROWS == 64
+    rng = np.random.default_rng(17)
+    block = SelectiveFusion(3, ModelConfig(**ACCEPTANCE_WIDTHS), rng)
+    for param in block.params().values():  # every path carries weight, unlike at init
+        param.data = rng.normal(scale=0.3, size=param.data.shape)
+    n = 130
+    u = rng.normal(size=(n, 384))
+    probe = rng.normal(size=(n, 384))
+    got = block(Tensor(u)).data
+    assert np.array_equal(got, np.concatenate([block(Tensor(u[i:i + 1])).data
+                                               for i in range(n)]))
+
+    full = _block_grads(block, u, probe)
+    rows = [_block_grads(block, u[i:i + 1], probe[i:i + 1]) for i in range(n)]
+    want = [np.concatenate([r[0] for r in rows])]       # input: row i from row i alone
+    want += [sum(r[k] for r in rows) for k in range(1, len(full))]  # parameters: summed
+    for got_k, want_k in zip(full, want):
+        assert np.max(np.abs(got_k - want_k)) <= 1e-12 * np.max(np.abs(want_k))
+
+
+def test_non_finite_state_is_named_within_the_first_failing_chunk():
+    # row 3 (chunk 0) breaks at token 4 and row 70 (chunk 1) at token 1
+    rng = np.random.default_rng(18)
+    block = SelectiveFusion(3, ModelConfig(**ACCEPTANCE_WIDTHS), rng)
+    u = rng.normal(size=(130, 384))
+    u[3, 4 * 16] = np.inf
+    u[70, 1 * 16] = np.inf
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="step 4$"):
+            block(Tensor(u))
+
+
+def test_block_tape_keeps_its_input_and_output_only():
+    rng = np.random.default_rng(19)
+    cfg = ModelConfig(**ACCEPTANCE_WIDTHS)
+    block = SelectiveFusion(3, cfg, rng)
+    u = parameter(rng.normal(size=(256, 384)) * 0.3)
+    probe = Tensor(rng.normal(size=(256, 384)))
+    # what one chunk's taped forward keeps, its stored states included
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            block._fuse_rows(parameter(u.data[:CHUNK_ROWS]))
+            chunk_tape = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one chunk's states and decays: 2L + 1 slabs of (rows, state, dp) floats
+    length, dp = 3 * cfg.seq_len, cfg.seq_dim * cfg.expand_factor
+    slabs = (2 * length + 1) * CHUNK_ROWS * cfg.state_size * dp * 8
+    assert slabs < chunk_tape   # so two chunk tapes alive at once break the bound below
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = block(u)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            loss = (out * probe).sum()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # between forward and backward: the output (the input was made before)
+    assert kept <= u.data.nbytes + out.data.nbytes + 2**20, f"block keeps {kept} bytes"
+    # the backward recomputes one chunk at a time
+    assert peak < chunk_tape + slabs, f"backward peak {peak} bytes, chunk tape {chunk_tape}"

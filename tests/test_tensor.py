@@ -32,6 +32,7 @@ from tmcn.tensor import (
     exp,
     log,
     matmul,
+    mul,
     parameter,
     silu,
     softplus,
@@ -390,6 +391,24 @@ def test_dense_layer_and_silu_keep_one_output_array_on_the_tape(op):
     build = Affine.init(16, 16, rng) if op == "affine" else silu
     kept, nbytes = _taped_bytes(build, x)
     assert kept <= nbytes + 8 * 1024, f"{op} keeps {kept} bytes for a {nbytes}-byte output"
+
+
+def test_backward_computes_no_gradient_for_a_constant_operand():
+    # mul(parameter, constant): g * constant for the parameter, and no g * parameter
+    rng = np.random.default_rng(25)
+    w = parameter(rng.normal(size=(512, 256)))
+    c = Tensor(rng.normal(size=(512, 256)))
+    with Tape() as tape:
+        loss = mul(w, c).sum()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(w.grad, c.data) and c.grad is None
+    assert peak <= w.data.nbytes + 64 * 1024, f"backward peaked at {peak} bytes"
 
 
 def test_three_layer_mlp_gradients():

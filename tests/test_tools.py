@@ -18,7 +18,7 @@ def test_cell_ab_prints_one_json_line_for_a_small_cell():
     first, second = (json.loads(ln[0]) for ln in lines)
     assert (first["seq_dim"], first["expand_factor"]) == (4, 2)
     assert (first["pretrain_epochs"], first["joint_epochs"]) == (1, 1)
-    assert first["train_s"] > 0 and first["peak_rss_mib"] > 0
+    assert first["train_s"] > 0 and first["train_cpu_s"] > 0 and first["peak_rss_mib"] > 0
     assert len(first["params_sha256"]) == 64
     assert Path(first["src"]) == ROOT / "src"
     # training is a pure function of its config: a second process gives the same bits

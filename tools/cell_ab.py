@@ -7,9 +7,11 @@ The cell is criterion 10's: the acceptance configuration of
 ``tests/test_acceptance.py`` with ``seq_dim`` and ``expand_factor``
 replaced and the epoch counts given, trained on the rescaled
 ``SyntheticSpec(seed=7)`` data.  The process prints one JSON line:
-``train_s`` (wall time of ``train``), ``peak_rss_mib`` (the process's
-peak RSS, data generation included), the final ``total_loss`` and the
-SHA-256 of every parameter's bytes in name order.
+``train_s`` (wall time of ``train``), ``train_cpu_s`` (its process CPU
+time, the clock ``perfbench`` uses, which leaves out time the host
+holds the CPU back), ``peak_rss_mib`` (the process's peak RSS, data
+generation included), the final ``total_loss`` and the SHA-256 of
+every parameter's bytes in name order.
 
 ``--src`` picks the ``tmcn`` sources to import (default: this
 checkout's ``src``), so one script measures two checkouts: run it once
@@ -47,9 +49,9 @@ def main(argv=None) -> int:
     data = rescale_views(generate_synthetic(SyntheticSpec(
         n_samples=500, n_clusters=4, view_dims=[20, 30, 25], separation=6.0,
         noise_std=0.5, seed=7)))
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     model, history = train(config, data)
-    train_s = time.perf_counter() - t0
+    train_s, train_cpu_s = time.perf_counter() - t0, time.process_time() - cpu0
     sha = hashlib.sha256()
     for name, tensor in sorted(model.params().items()):
         sha.update(name.encode())
@@ -58,6 +60,7 @@ def main(argv=None) -> int:
         "seq_dim": args.seq_dim, "expand_factor": args.expand,
         "pretrain_epochs": args.pretrain, "joint_epochs": args.joint,
         "train_s": train_s,
+        "train_cpu_s": train_cpu_s,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "final_loss": history.records[-1].total_loss if history.records else None,
         "params_sha256": sha.hexdigest(),
