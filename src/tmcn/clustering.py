@@ -33,17 +33,23 @@ MAX_ITERS = 300
 TOL = 1e-9
 
 
-def _dists_to(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, i: int) -> np.ndarray:
-    """Squared distances of every point to point ``i``: the norms identity, one GEMV."""
-    return np.maximum(norms + norms[i] - twice @ points[i], 0.0)
+def _dists_to(points: np.ndarray, norms: np.ndarray, i: int) -> np.ndarray:
+    """Squared distances of every point to point ``i``: the norms identity, one GEMV.
+
+    The cross term is doubled after the GEMV, in place; scaling by a power
+    of two is exact, so it equals the GEMV of the doubled points bit for bit.
+    """
+    cross = points @ points[i]
+    cross *= 2.0
+    return np.maximum(norms + norms[i] - cross, 0.0)
 
 
-def _plusplus_init(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, k: int,
+def _plusplus_init(points: np.ndarray, norms: np.ndarray, k: int,
                    rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding; falls back to uniform choice when all distances vanish."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _dists_to(points, norms, twice, chosen[0])
+    d2 = _dists_to(points, norms, chosen[0])
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -51,12 +57,12 @@ def _plusplus_init(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, k: 
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, _dists_to(points, norms, twice, idx))
+        d2 = np.minimum(d2, _dists_to(points, norms, idx))
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, centers: np.ndarray,
-           max_iters: int, tol: float):
+def _lloyd(points: np.ndarray, norms: np.ndarray, centers: np.ndarray, max_iters: int,
+           tol: float):
     """Lloyd iterations from ``centers``, each one sweep over the points in row blocks.
 
     Iteration t's sweep takes each block once: it adds the block's exact
@@ -100,8 +106,9 @@ def _lloyd(points: np.ndarray, norms: np.ndarray, twice: np.ndarray, centers: np
                 flat = np.subtract(block, diff, out=diff).ravel()
                 obj += float(flat @ flat)
             if reassign:
-                d2 = np.maximum(norms[rows, None] + cnorms[None, :] - twice[rows] @ centers.T,
-                                0.0)
+                cross = block @ centers.T
+                cross *= 2.0
+                d2 = np.maximum(norms[rows, None] + cnorms[None, :] - cross, 0.0)
                 d2.argmin(axis=1, out=labels)
                 d2.min(axis=1, out=cost[rows])
                 add_sums(block, labels)
@@ -144,9 +151,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> Clu
 
     Deterministic for a given (points, k, seed, restarts); the restart
     with the lowest objective wins, first winner on ties.  The points'
-    squared norms and the doubled points are made once per call; each
-    k-means++ pick is one GEMV against them, and each Lloyd iteration one
-    sweep over the points in L2-sized row blocks (``_lloyd``).  The
+    squared norms are made once per call, one row block at a time; each
+    k-means++ pick is one GEMV against the points, and each Lloyd iteration
+    one sweep over the points in L2-sized row blocks (``_lloyd``).  No
+    point-sized array is made besides the assignments and costs.  The
     reported objective is summed from explicit differences, and the
     centers from member sums that do not depend on the cluster labels, so
     two restarts that reach one partition tie exactly.
@@ -159,8 +167,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> Clu
         raise ValueError(f"kmeans: k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise ValueError(f"kmeans: restarts must be >= 1, got {restarts}")
+    norms = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = (points * points).sum(axis=1)
+        for lo in range(0, n, BLOCK_ROWS):
+            block = points[lo:lo + BLOCK_ROWS]
+            norms[lo:lo + BLOCK_ROWS] = (block * block).sum(axis=1)
     bad = ~np.isfinite(norms)
     if bad.any():
         raise ValueError(f"kmeans: row {int(bad.argmax())} has a non-finite squared norm")
@@ -170,12 +181,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> Clu
     if not np.isfinite(4.0 * top * n):
         raise ValueError(f"kmeans: distance scale 4 * max squared norm ({top:.3g}) * N ({n}) "
                          f"overflows float64")
-    twice = 2.0 * points
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        init = _plusplus_init(points, norms, twice, k, rng)
-        assign, centers, obj, n_iter, trace = _lloyd(points, norms, twice, init, MAX_ITERS, TOL)
+        init = _plusplus_init(points, norms, k, rng)
+        assign, centers, obj, n_iter, trace = _lloyd(points, norms, init, MAX_ITERS, TOL)
         if best is None or obj < best.objective:
             best = ClusteringResult(assignments=assign, centers=centers, objective=obj,
                                     n_iter=n_iter, objective_trace=trace)

@@ -606,9 +606,12 @@ def state_scan(x, delta, b_seq, c_seq, a, skip) -> Tensor:
 # ---------------------------------------------------------------------------
 # row-chunked recomputation
 
-# Rows per chunk of ``recompute_rows``; a prototype of the fusion block read a
-# higher peak RSS and a longer train time at 128- and 256-row chunks.
-CHUNK_ROWS = 64
+# Rows per chunk of ``recompute_rows``.  Training the acceptance config in one
+# process (10 runs each, one BLAS thread on a 2-vCPU VM), 32-row chunks peaked
+# at 63.8 MiB RSS and 64-row ones at 69.1 MiB, in the same median CPU time
+# (2.67 and 2.65 s); 16-row chunks saved 0.9 MiB more and took 9% longer.
+# 128- and 256-row chunks peaked higher and trained slower still.
+CHUNK_ROWS = 32
 
 
 def recompute_rows(fn, x, params) -> Tensor:

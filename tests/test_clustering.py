@@ -1,5 +1,7 @@
 """K-means and agreement metric tests against enumeration oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,8 @@ def test_empty_cluster_reseeds_on_the_farthest_point():
     pts = np.array([[0.0], [0.1], [0.2], [50.0]])
     # both starting centers in the left clump: the right one starts empty-bound
     centers = np.array([[0.0], [0.05]])
-    assign, new_centers, obj, _, _ = _lloyd(pts, (pts * pts).sum(axis=1), 2.0 * pts,
-                                            centers.copy(), max_iters=50, tol=1e-9)
+    assign, new_centers, obj, _, _ = _lloyd(pts, (pts * pts).sum(axis=1), centers.copy(),
+                                            max_iters=50, tol=1e-9)
     assert len(set(assign.tolist())) == 2
     assert obj < ((pts - pts.mean()) ** 2).sum()  # better than one blob
 
@@ -140,9 +142,9 @@ def test_lloyd_from_permuted_centers_ties_bitwise(n, d, k, seed):
     pts = rng.normal(size=(n, d))
     init = pts[rng.choice(n, k, replace=False)]
     perm = rng.permutation(k)
-    norms, twice = (pts * pts).sum(axis=1), 2.0 * pts
-    assign, centers, obj, n_iter, trace = _lloyd(pts, norms, twice, init.copy(), 300, 1e-9)
-    p_assign, p_centers, p_obj, p_iter, p_trace = _lloyd(pts, norms, twice, init[perm].copy(),
+    norms = (pts * pts).sum(axis=1)
+    assign, centers, obj, n_iter, trace = _lloyd(pts, norms, init.copy(), 300, 1e-9)
+    p_assign, p_centers, p_obj, p_iter, p_trace = _lloyd(pts, norms, init[perm].copy(),
                                                          300, 1e-9)
     assert np.array_equal(perm[p_assign], assign)
     assert p_centers.tobytes() == centers[perm].tobytes()
@@ -167,6 +169,19 @@ def test_restarts_that_reach_one_partition_tie_and_the_first_wins(monkeypatch):
     assert objectives.count(got.objective) == 2
     assert got.assignments.tobytes() == want.assignments.tobytes()
     assert got.n_iter == want.n_iter == 2
+
+
+def test_kmeans_makes_no_point_sized_array():
+    # cluster_large's eval size: the points take 5.9 MiB, and no copy of them,
+    # doubled or squared, may live alongside
+    pts = np.random.default_rng(11).normal(size=(2000, 384))
+    tracemalloc.start()
+    try:
+        kmeans(pts, 4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"k-means peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_objective_is_exact_far_from_the_origin():

@@ -1,9 +1,12 @@
 """Similarity matrix, projection head and weighted contrastive loss tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import check_grads, contrastive_reference, cosine_matrix_reference
+from tmcn import tensor as T
 from tmcn.contrastive import (
     ContrastiveStats,
     ProjectionHeads,
@@ -160,6 +163,103 @@ def test_gradients_match_finite_differences(mode):
         return loss
 
     check_grads(build, [h_fused, *h_views], rtol=1e-4)
+
+
+def _composed_loss(h_fused, h_views, similarity, tau, mode, floor):
+    """The loss as a chain of elementwise tensor ops, one tape node per op."""
+    n = h_fused.shape[0]
+    weights = Tensor((1.0 - similarity) / tau)
+    eye, off_diag = Tensor(np.eye(n)), Tensor(1.0 - np.eye(n))
+    total = None
+    for h_view in h_views:
+        cos = T.cosine_similarity_matrix(h_fused, h_view)
+        pos = T.mul(T.mul(cos, eye).sum(axis=1), Tensor(np.full(n, 1.0 / tau)))
+        weighted = T.mul(cos, weights).exp()
+        if mode == "self-excluded":
+            den = T.mul(weighted, off_diag).sum(axis=1)
+        else:
+            den = (weighted.sum(axis=1) - Tensor(np.exp(1.0 / tau))).clamp_min(floor)
+        term = (pos - den.log()).sum()
+        total = term if total is None else T.add(total, term)
+    return total * (-1.0 / (2.0 * n))
+
+
+def _loss_and_grads(loss_fn, leaves):
+    for leaf in leaves:
+        leaf.grad = None
+    with Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    return loss.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("mode, tau", [("self-excluded", 0.5), ("literal", 0.5),
+                                       ("literal", 0.25)])
+def test_loss_and_gradients_are_bitwise_the_composed_formula(mode, tau):
+    # at tau = 0.25, exp(1/tau) = 55 sits among the row sums of 40 samples:
+    # some literal rows are floored and some are not
+    rng = np.random.default_rng(8)
+    n, d = 40, 6
+    h_fused = parameter(rng.normal(size=(n, d)))
+    h_views = [parameter(rng.normal(size=(n, d)) + h_fused.data) for _ in range(3)]
+    sim = average_similarity([view_similarity(rng.normal(size=(n, 4)) + 1.0)
+                              for _ in range(3)])
+    config = TrainConfig(temperature=tau, ascl_mode=mode, ascl_floor=1e-8)
+    leaves = [h_fused, *h_views]
+    got, got_grads = _loss_and_grads(
+        lambda: contrastive_loss(h_fused, h_views, sim, config)[0], leaves)
+    want, want_grads = _loss_and_grads(
+        lambda: _composed_loss(h_fused, h_views, sim, tau, mode, 1e-8), leaves)
+    _, stats = contrastive_loss(h_fused, h_views, sim, config)
+    if tau == 0.25:
+        assert 0 < stats.clamped < n * len(h_views)
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_literal_floored_row_passes_no_gradient():
+    # Anchor 0 is nearly a duplicate of every other sample (S = 0.99), so its
+    # negatives stay near exp(0) = 1 and its row sums to about 5, below
+    # exp(1/0.5) = 7.4: that row is floored, by a margin no FD step crosses.
+    # The aligned positive embeddings keep the other rows' sums near 20.
+    rng = np.random.default_rng(9)
+    n, d = 5, 4
+    h_fused = parameter(rng.uniform(0.5, 1.5, size=(n, d)))
+    h_views = [parameter(rng.uniform(0.5, 1.5, size=(n, d))) for _ in range(2)]
+    sim = np.eye(n)
+    sim[0, 1:] = sim[1:, 0] = 0.99
+    config = TrainConfig(temperature=0.5, ascl_mode="literal", ascl_floor=1e-8)
+    _, stats = contrastive_loss(h_fused, h_views, sim, config)
+    assert stats.clamped == len(h_views)    # row 0 of each view's term
+
+    def build():
+        return contrastive_loss(h_fused, h_views, sim, config)[0]
+
+    check_grads(build, [h_fused, *h_views], rtol=1e-4)
+
+
+def test_loss_tape_keeps_the_cosines_and_one_exp_per_view():
+    # the 3-view acceptance step: per view the cosine node's matrix and two
+    # (n, proj_dim) normalised copies, the term's exp(cos * W), and W once
+    rng = np.random.default_rng(10)
+    n, proj_dim = 256, 128
+    h_fused = parameter(rng.normal(size=(n, proj_dim)))
+    h_views = [parameter(rng.normal(size=(n, proj_dim))) for _ in range(3)]
+    sim = average_similarity([view_similarity(rng.normal(size=(n, 6))) for _ in range(3)])
+    for mode in ("self-excluded", "literal"):
+        config = TrainConfig(ascl_mode=mode)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss, _ = contrastive_loss(h_fused, h_views, sim, config)
+                kept = tracemalloc.get_traced_memory()[0] - before
+                tape.backward(loss)
+        finally:
+            tracemalloc.stop()
+        arrays = kept / (n * n * 8)
+        assert arrays <= 10.5, f"{mode}: the tape keeps {arrays:.2f} (n, n) arrays"
 
 
 def test_similarity_enters_as_a_constant():

@@ -248,8 +248,8 @@ def _block_grads(block, u, probe):
 
 
 def test_ragged_chunks_match_the_one_row_calls():
-    # 130 rows run as chunks of 64, 64 and 2
-    assert CHUNK_ROWS == 64
+    # 130 rows run as four chunks of 32 and a ragged one of 2
+    assert CHUNK_ROWS == 32
     rng = np.random.default_rng(17)
     block = SelectiveFusion(3, ModelConfig(**ACCEPTANCE_WIDTHS), rng)
     for param in block.params().values():  # every path carries weight, unlike at init

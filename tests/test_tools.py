@@ -24,3 +24,19 @@ def test_cell_ab_prints_one_json_line_for_a_small_cell():
     # training is a pure function of its config: a second process gives the same bits
     assert (first["final_loss"], first["params_sha256"]) == \
         (second["final_loss"], second["params_sha256"])
+
+
+def test_step_memory_prints_one_json_line_for_a_small_cell():
+    argv = [sys.executable, str(ROOT / "tools" / "step_memory.py"), "--seq-dim", "4",
+            "--expand", "2", "--batch", "64"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=60, check=True)
+    lines = run.stdout.strip().splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert set(out) == {"seq_dim", "expand_factor", "batch", "joint_forward_mib",
+                        "joint_backward_peak_mib", "pretrain_peak_mib", "src"}
+    assert (out["seq_dim"], out["expand_factor"], out["batch"]) == (4, 2, 64)
+    assert 0 < out["pretrain_peak_mib"]
+    # the joint tape holds the fusion input and output and the contrastive terms
+    assert 0 < out["joint_forward_mib"] <= out["joint_backward_peak_mib"]
+    assert Path(out["src"]) == ROOT / "src"
