@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .nn import Affine
-from .tensor import EPS, ShapeError, Tensor, _accum, _make, add, cosine_similarity_matrix
+from .tensor import EPS, ShapeError, Tensor, add, ascl_term, cosine_similarity_matrix
 
 if TYPE_CHECKING:  # trainer imports this module
     from .trainer import TrainConfig
@@ -126,7 +126,7 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
     Averages -log(pos / den) over all N * M anchor/view terms with the
     1/(2N) convention; ``similarity`` is treated as a constant.  It reads
     ``temperature``, ``ascl_mode`` and ``ascl_floor`` from ``config``.  Each
-    view's term is one tape node after its cosine matrix (``_ascl_term``).
+    view's term is one tape node after its cosine matrix (``tensor.ascl_term``).
     Returns the scalar loss tensor and clamp statistics (always zero clamps
     in self-excluded mode).
     """
@@ -148,50 +148,11 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
         if h_view.shape != h_fused.shape:
             raise ShapeError(f"contrastive-loss: view projection {h_view.shape} "
                              f"does not match fused {h_fused.shape}")
-        term, rows_clamped = _ascl_term(cosine_similarity_matrix(h_fused, h_view), weights,
-                                        tau, config.ascl_mode, config.ascl_floor)
+        term, rows_clamped = ascl_term(cosine_similarity_matrix(h_fused, h_view), weights,
+                                       tau, config.ascl_mode, config.ascl_floor)
         clamped += rows_clamped
         total = term if total is None else add(total, term)
 
     loss = total * (-1.0 / (2.0 * n))
     return loss, ContrastiveStats(clamped=clamped, terms=n * len(h_views))
 
-
-def _ascl_term(cos: Tensor, weights: np.ndarray, tau: float, mode: str,
-               floor: float) -> tuple[Tensor, int]:
-    """One view's sum over anchors of pos_i - log den_i, taped as one node.
-
-    pos_i = cos_ii / tau and den_i sums exp(cos_ij * W_ij) over j != i
-    (``self-excluded``), or over all j less exp(1/tau) and floored at
-    ``floor`` (``literal``).  The node keeps exp(cos * W) and the row
-    denominators; ``weights`` is W = (1 - S) / tau, shared by the views.
-    The forward runs the ops of the composed formula, so its bits are
-    those of ``mul``, ``exp``, ``sum``, ``clamp_min`` and ``log`` in turn.
-    Returns the scalar term and the number of clamped rows.
-    """
-    c = cos.data
-    pos = np.diagonal(c) * (1.0 / tau)
-    weighted = np.exp(c * weights)
-    if mode == "self-excluded":
-        np.fill_diagonal(weighted, 0.0)     # j != i; with W_ii = 0 no gradient needs it
-        den = weighted.sum(axis=1)
-        live = None
-        clamped = 0
-    else:
-        raw = weighted.sum(axis=1) - np.exp(1.0 / tau)
-        live = raw > floor                  # a floored row passes no gradient
-        clamped = int((raw < floor).sum())
-        den = np.maximum(raw, floor)
-    safe = np.maximum(den, EPS)
-    data = (pos - np.log(safe)).sum()
-
-    def backward(g):
-        g_den = -g / safe
-        if live is not None:
-            g_den = g_den * live
-        g_cos = g_den[:, None] * weighted
-        g_cos *= weights
-        g_cos[np.diag_indices_from(g_cos)] += g * (1.0 / tau)
-        _accum(cos, g_cos)
-
-    return _make(data, (cos,), backward), clamped

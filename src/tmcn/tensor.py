@@ -386,10 +386,15 @@ def exp(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _log_guard(x: np.ndarray) -> np.ndarray:
+    """The argument ``log`` takes: ``x`` clamped at ``EPS``."""
+    return np.maximum(x, EPS)
+
+
 def log(a) -> Tensor:
     """Natural log with the argument clamped at ``EPS``."""
     a = _as_tensor(a)
-    safe = np.maximum(a.data, EPS)
+    safe = _log_guard(a.data)
     data = np.log(safe)
 
     def backward(g):
@@ -475,6 +480,48 @@ def cosine_similarity_matrix(a, b) -> Tensor:
         _accum(b, (g.T @ ah - col[:, None] * bh) / nb[:, None])
 
     return _make(data, (a, b), backward)
+
+
+def ascl_term(cos, weights: np.ndarray, tau: float, mode: str,
+              floor: float) -> tuple[Tensor, int]:
+    """One view's AsCL term: the sum over anchors i of pos_i - log den_i.
+
+    ``cos`` is the (N, N) fused/view cosine matrix and ``weights`` the
+    constant W = (1 - S) / tau.  pos_i = cos_ii / tau; den_i sums
+    exp(cos_ij * W_ij) over j != i (``self-excluded``), or over all j less
+    exp(1/tau) and floored at ``floor`` (``literal``), and is guarded as
+    ``log`` guards its argument.  One node keeps exp(cos * W) and the row
+    denominators.  The forward runs the ops of the composed formula, so its
+    bits are those of ``mul``, ``exp``, ``sum``, ``clamp_min`` and ``log``
+    in turn.  Returns the scalar term and the number of floored rows.
+    """
+    cos = _as_tensor(cos)
+    c = cos.data
+    pos = np.diagonal(c) * (1.0 / tau)
+    weighted = np.exp(c * weights)
+    if mode == "self-excluded":
+        np.fill_diagonal(weighted, 0.0)     # j != i; with W_ii = 0 no gradient needs it
+        den = weighted.sum(axis=1)
+        live = None
+        clamped = 0
+    else:
+        raw = weighted.sum(axis=1) - np.exp(1.0 / tau)
+        live = raw > floor                  # clamp_min's mask: a floored row passes no gradient
+        clamped = int((raw < floor).sum())
+        den = np.maximum(raw, floor)
+    safe = _log_guard(den)
+    data = (pos - np.log(safe)).sum()
+
+    def backward(g):
+        g_den = -g / safe
+        if live is not None:
+            g_den = g_den * live
+        g_cos = g_den[:, None] * weighted
+        g_cos *= weights
+        g_cos[np.diag_indices_from(g_cos)] += g * (1.0 / tau)
+        _accum(cos, g_cos)
+
+    return _make(data, (cos,), backward), clamped
 
 
 # ---------------------------------------------------------------------------

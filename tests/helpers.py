@@ -82,6 +82,7 @@ OP_KINDS = (
     "add", "clamp-min", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
     "elementwise-mul", "exp", "log", "matmul", "recompute-rows", "reshape", "scalar-mul",
     "silu", "softplus", "square", "state-scan", "sub", "sum",
+    "ascl-term",    # last, so the kinds before it draw the same cases from a shared rng
 )
 
 
@@ -154,6 +155,20 @@ def op_grad_case(kind, rng):
             return T.mul(T.silu(T.matmul(v, leaves[1], leaves[2])), v)
 
         return leaves, lambda: T.recompute_rows(rows_fn, leaves[0], leaves[1:])
+    if kind == "ascl-term":
+        # either denominator mode; a literal row is floored or not by a margin
+        # no FD step crosses
+        n, tau = 4, 0.5
+        s = rng.uniform(-1.0, 1.0, size=(n, n))
+        s = (s + s.T) / 2.0
+        np.fill_diagonal(s, 1.0)
+        weights = (1.0 - s) / tau
+        mode = ["self-excluded", "literal"][int(rng.integers(2))]
+        cos = rng.uniform(-1.0, 1.0, size=(n, n))
+        while np.abs(np.exp(cos * weights).sum(axis=1) - np.exp(1.0 / tau)).min() < 0.1:
+            cos = rng.uniform(-1.0, 1.0, size=(n, n))
+        leaves = [parameter(cos)]
+        return leaves, lambda: T.ascl_term(leaves[0], weights, tau, mode, 1e-8)[0]
     raise ValueError(f"no gradient case for op kind {kind!r}")
 
 

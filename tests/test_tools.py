@@ -28,14 +28,14 @@ def test_cell_ab_prints_one_json_line_for_a_small_cell():
 
 def test_step_memory_prints_one_json_line_for_a_small_cell():
     argv = [sys.executable, str(ROOT / "tools" / "step_memory.py"), "--seq-dim", "4",
-            "--expand", "2", "--batch", "64"]
+            "--expand", "2"]
     run = subprocess.run(argv, capture_output=True, text=True, timeout=60, check=True)
     lines = run.stdout.strip().splitlines()
     assert len(lines) == 1
     out = json.loads(lines[0])
-    assert set(out) == {"seq_dim", "expand_factor", "batch", "joint_forward_mib",
+    assert set(out) == {"seq_dim", "expand_factor", "joint_forward_mib",
                         "joint_backward_peak_mib", "pretrain_peak_mib", "src"}
-    assert (out["seq_dim"], out["expand_factor"], out["batch"]) == (4, 2, 64)
+    assert (out["seq_dim"], out["expand_factor"]) == (4, 2)
     assert 0 < out["pretrain_peak_mib"]
     # the joint tape holds the fusion input and output and the contrastive terms
     assert 0 < out["joint_forward_mib"] <= out["joint_backward_peak_mib"]

@@ -3,10 +3,8 @@
     python3 tools/cell_ab.py --seq-dim 128 --expand 12 --pretrain 1 --joint 1
     python3 tools/cell_ab.py --seq-dim 128 --expand 12 --src /path/to/other/checkout/src
 
-The cell is criterion 10's: the acceptance configuration of
-``tests/test_acceptance.py`` with ``seq_dim`` and ``expand_factor``
-replaced and the epoch counts given, trained on the rescaled
-``SyntheticSpec(seed=7)`` data.  The process prints one JSON line:
+The cell is criterion 10's, as ``acceptance_cell.py`` builds it, with the
+epoch counts given.  The process prints one JSON line:
 ``train_s`` (wall time of ``train``), ``train_cpu_s`` (its process CPU
 time, the clock ``perfbench`` uses, which leaves out time the host
 holds the CPU back), ``peak_rss_mib`` (the process's peak RSS, data
@@ -27,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from acceptance_cell import SRC, build
 
 
 def main(argv=None) -> int:
@@ -39,16 +37,8 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=str(SRC), help="tmcn sources to import")
     args = p.parse_args(argv)
 
-    sys.path.insert(0, args.src)
-    # tmcn first: it pins the BLAS threads before numpy loads
-    from tmcn import SyntheticSpec, TrainConfig, generate_synthetic, rescale_views, train
-
-    config = TrainConfig(pretrain_epochs=args.pretrain, joint_epochs=args.joint, seed=1,
-                         ascl_weight=0.01, hidden_dims=(128,), seq_len=8,
-                         seq_dim=args.seq_dim, expand_factor=args.expand, state_size=8)
-    data = rescale_views(generate_synthetic(SyntheticSpec(
-        n_samples=500, n_clusters=4, view_dims=[20, 30, 25], separation=6.0,
-        noise_std=0.5, seed=7)))
+    config, data = build(args.src, args.seq_dim, args.expand, args.pretrain, args.joint)
+    from tmcn import train
     t0, cpu0 = time.perf_counter(), time.process_time()
     model, history = train(config, data)
     train_s, train_cpu_s = time.perf_counter() - t0, time.process_time() - cpu0

@@ -1,24 +1,24 @@
-"""Measure the traced memory of one pretrain step and one joint step of the acceptance config.
+"""Measure the traced memory of the pretrain and joint steps of the acceptance config.
 
     python3 tools/step_memory.py
     python3 tools/step_memory.py --seq-dim 128 --expand 12
     python3 tools/step_memory.py --src /path/to/other/checkout/src
 
-The model is the acceptance configuration of ``tests/test_acceptance.py``
-with ``seq_dim`` and ``expand_factor`` as given, built on the rescaled
-``SyntheticSpec(seed=7)`` data; each step runs the ops of ``train`` on one
-batch of ``--batch`` rows under a fresh tape.  Memory is what
-``tracemalloc`` sees, above what was live when the step began, so the
-model, the data and the interpreter are left out.  The process prints
-one JSON line:
+It runs ``train`` on the cell of ``acceptance_cell.py``, with ``seq_dim``
+and ``expand_factor`` as given, for one pretrain epoch and one joint
+epoch, under ``tracemalloc``.  ``Tape.__enter__`` and ``Tape.backward``
+are wrapped for the run, so each training step is measured from the
+moment its tape opens, above what was live then: the model, the data,
+the optimiser state and the interpreter are left out.  The process
+prints one JSON line, each figure the largest over the steps of its
+phase:
 
-- ``joint_forward_mib``: live at the end of a joint step's forward, the
+- ``joint_forward_mib``: live when a joint step's backward starts, the
   arrays its tape keeps for the backward;
-- ``joint_backward_peak_mib``: the peak inside that step's backward;
+- ``joint_backward_peak_mib``: the peak inside that backward;
 - ``pretrain_peak_mib``: the peak of a whole pretrain step, forward and
   backward.
 
-No optimiser step runs, so both steps see the initial parameters.
 ``--src`` picks the ``tmcn`` sources to import (default: this checkout's
 ``src``), so one script measures two checkouts.
 """
@@ -29,7 +29,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from acceptance_cell import SRC, build
+
 MIB = 2.0 ** 20
 
 
@@ -37,60 +38,51 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seq-dim", type=int, default=16)
     p.add_argument("--expand", type=int, default=2, help="expand_factor")
-    p.add_argument("--batch", type=int, default=256, help="rows per step (default 256)")
     p.add_argument("--src", default=str(SRC), help="tmcn sources to import")
     args = p.parse_args(argv)
 
-    sys.path.insert(0, args.src)
-    # tmcn first: it pins the BLAS threads before numpy loads
-    from tmcn import SyntheticSpec, TrainConfig, generate_synthetic, rescale_views
-    from tmcn.autoencoder import reconstruction_loss
-    from tmcn.contrastive import average_similarity, contrastive_loss, project, view_similarity
-    from tmcn.tensor import Tape, Tensor
-    from tmcn.trainer import TmcnModel
+    config, data = build(args.src, args.seq_dim, args.expand, pretrain=1, joint=1)
+    from tmcn import train
+    from tmcn.tensor import Tape
 
-    config = TrainConfig(seed=1, ascl_weight=0.01, hidden_dims=(128,), seq_len=8,
-                         seq_dim=args.seq_dim, expand_factor=args.expand, state_size=8)
-    data = rescale_views(generate_synthetic(SyntheticSpec(
-        n_samples=500, n_clusters=4, view_dims=[20, 30, 25], separation=6.0,
-        noise_std=0.5, seed=7)))
-    model = TmcnModel.from_config(data.view_dims, config)
-    rows = slice(0, min(args.batch, data.n_samples))
+    steps = []          # per step: [start, forward live, forward peak, backward peak]
+    in_backward = False
+    enter, backward = Tape.__enter__, Tape.backward
 
-    def forward(joint):
-        xs = [Tensor(view[rows]) for view in data.views]
-        zs = model.encode_views(xs)
-        objective = reconstruction_loss(xs, model.decode_views(zs)) * (1.0 / len(xs[0].data))
-        if joint:
-            sim = average_similarity([view_similarity(z.data) for z in zs])
-            h_fused, h_views = project(model.fuse(zs), zs, model.heads)
-            closs, _ = contrastive_loss(h_fused, h_views, sim, config)
-            objective = objective + closs * config.ascl_weight
-        return objective
+    def traced_enter(tape):
+        # a tape opened inside a backward reruns a chunk; it is no step of its own
+        if not in_backward:
+            tracemalloc.reset_peak()
+            steps.append([tracemalloc.get_traced_memory()[0]])
+        return enter(tape)
 
+    def traced_backward(tape, loss):
+        nonlocal in_backward
+        step = steps[-1]
+        live, peak = tracemalloc.get_traced_memory()
+        step += [live - step[0], peak - step[0]]
+        tracemalloc.reset_peak()
+        in_backward = True
+        try:
+            backward(tape, loss)
+        finally:
+            in_backward = False
+        step.append(tracemalloc.get_traced_memory()[1] - step[0])
+
+    Tape.__enter__, Tape.backward = traced_enter, traced_backward
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        with Tape() as tape:
-            tape.backward(forward(joint=False))
-        pretrain_peak = tracemalloc.get_traced_memory()[1] - start
-        for param in model.params().values():   # as opt.zero_grad() does between steps
-            param.grad = None
-
-        start = tracemalloc.get_traced_memory()[0]
-        with Tape() as tape:
-            objective = forward(joint=True)
-            forward_live = tracemalloc.get_traced_memory()[0] - start
-            tracemalloc.reset_peak()
-            tape.backward(objective)
-        backward_peak = tracemalloc.get_traced_memory()[1] - start
+        train(config, data)
     finally:
         tracemalloc.stop()
+        Tape.__enter__, Tape.backward = enter, backward
+    # both phases run one epoch over the same rows, so they take as many steps
+    pretrain, joint = steps[:len(steps) // 2], steps[len(steps) // 2:]
     print(json.dumps({
-        "seq_dim": args.seq_dim, "expand_factor": args.expand, "batch": rows.stop,
-        "joint_forward_mib": forward_live / MIB,
-        "joint_backward_peak_mib": backward_peak / MIB,
-        "pretrain_peak_mib": pretrain_peak / MIB,
+        "seq_dim": args.seq_dim, "expand_factor": args.expand,
+        "joint_forward_mib": max(s[1] for s in joint) / MIB,
+        "joint_backward_peak_mib": max(s[3] for s in joint) / MIB,
+        "pretrain_peak_mib": max(max(s[2], s[3]) for s in pretrain) / MIB,
         "src": str(Path(args.src).resolve()),
     }))
     return 0
