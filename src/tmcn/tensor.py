@@ -7,9 +7,9 @@ records a backward closure, and ``Tape.backward`` replays the records
 once in reverse execution order to accumulate gradients.
 Tapes are single use and support first-order gradients only.
 
-Domain guards follow one convention: ``log`` clamps its argument at
-``EPS`` and cosine denominators use ``norm + EPS``, so a degenerate
-embedding never turns into a NaN mid-training.
+Domain guards follow one convention: ``ascl_term`` clamps its row
+denominators at ``EPS`` and cosine denominators use ``norm + EPS``, so a
+degenerate embedding never turns into a NaN mid-training.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -66,55 +62,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scalar_mul(self, float(other))
         return mul(self, other)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise TypeError("tensor division is only defined for python scalars")
-        return scalar_mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- method forms of ops --------------------------------------------
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def square(self):
-        return square(self)
-
     def relu(self):
-        return clamp_min(self, 0.0)
-
-    def clamp_min(self, floor: float):
-        return clamp_min(self, floor)
+        return relu(self)
 
 
 def parameter(data) -> Tensor:
@@ -386,23 +344,6 @@ def exp(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def _log_guard(x: np.ndarray) -> np.ndarray:
-    """The argument ``log`` takes: ``x`` clamped at ``EPS``."""
-    return np.maximum(x, EPS)
-
-
-def log(a) -> Tensor:
-    """Natural log with the argument clamped at ``EPS``."""
-    a = _as_tensor(a)
-    safe = _log_guard(a.data)
-    data = np.log(safe)
-
-    def backward(g):
-        _accum(a, g / safe)
-
-    return _make(data, (a,), backward)
-
-
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
     data = np.logaddexp(0.0, a.data)
@@ -437,14 +378,14 @@ def square(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def clamp_min(a, floor: float) -> Tensor:
-    """Elementwise max with a constant; zero gradient on the clamped side."""
+def relu(a) -> Tensor:
+    """``max(a, 0)``.  The backward masks on ``out > 0``, which is ``a > 0``
+    for every float, NaN and -0.0 included."""
     a = _as_tensor(a)
-    floor = float(floor)
-    data = np.maximum(a.data, floor)
+    data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        _accum(a, g * (a.data > floor))
+        _accum(a, g * (data > 0.0))
 
     return _make(data, (a,), backward)
 
@@ -456,7 +397,8 @@ def cosine_similarity_matrix(a, b) -> Tensor:
     """Pairwise row cosines: out[i, j] = cos(a_i, b_j).
 
     Row norms are guarded with ``+ EPS``; zero rows therefore yield zero
-    similarities and are flagged in the log rather than raising.
+    similarities and are flagged in the log rather than raising.  The node
+    keeps the norms; the backward rebuilds the normalised rows bit for bit.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -469,11 +411,11 @@ def cosine_similarity_matrix(a, b) -> Tensor:
         logger.warning("cosine similarity: %d zero-norm rows epsilon-guarded", zeros)
     na = raw_na + EPS
     nb = raw_nb + EPS
-    ah = a.data / na[:, None]
-    bh = b.data / nb[:, None]
-    data = ah @ bh.T
+    data = (a.data / na[:, None]) @ (b.data / nb[:, None]).T
 
     def backward(g):
+        ah = a.data / na[:, None]
+        bh = b.data / nb[:, None]
         row = (g * data).sum(axis=1)
         _accum(a, (g @ bh - row[:, None] * ah) / na[:, None])
         col = (g * data).sum(axis=0)
@@ -489,11 +431,11 @@ def ascl_term(cos, weights: np.ndarray, tau: float, mode: str,
     ``cos`` is the (N, N) fused/view cosine matrix and ``weights`` the
     constant W = (1 - S) / tau.  pos_i = cos_ii / tau; den_i sums
     exp(cos_ij * W_ij) over j != i (``self-excluded``), or over all j less
-    exp(1/tau) and floored at ``floor`` (``literal``), and is guarded as
-    ``log`` guards its argument.  One node keeps exp(cos * W) and the row
-    denominators.  The forward runs the ops of the composed formula, so its
-    bits are those of ``mul``, ``exp``, ``sum``, ``clamp_min`` and ``log``
-    in turn.  Returns the scalar term and the number of floored rows.
+    exp(1/tau) and floored at ``floor`` (``literal``), and is clamped at
+    ``EPS``: a row whose negatives all underflow reads pos_i - log(EPS).
+    One node keeps exp(cos * W) and the row denominators.  Its bits are
+    those of the composed reference in ``tests/helpers.py``.  Returns the
+    scalar term and the number of floored rows.
     """
     cos = _as_tensor(cos)
     c = cos.data
@@ -506,10 +448,10 @@ def ascl_term(cos, weights: np.ndarray, tau: float, mode: str,
         clamped = 0
     else:
         raw = weighted.sum(axis=1) - np.exp(1.0 / tau)
-        live = raw > floor                  # clamp_min's mask: a floored row passes no gradient
+        live = raw > floor                  # a floored row passes no gradient
         clamped = int((raw < floor).sum())
         den = np.maximum(raw, floor)
-    safe = _log_guard(den)
+    safe = np.maximum(den, EPS)
     data = (pos - np.log(safe)).sum()
 
     def backward(g):

@@ -79,8 +79,8 @@ def check_grads(build_fn, leaves, rtol=1e-5, h=1e-6, seed=0):
 
 
 OP_KINDS = (
-    "add", "clamp-min", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
-    "elementwise-mul", "exp", "log", "matmul", "recompute-rows", "reshape", "scalar-mul",
+    "add", "relu", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
+    "elementwise-mul", "exp", "matmul", "recompute-rows", "reshape", "scalar-mul",
     "silu", "softplus", "square", "state-scan", "sub", "sum",
     "ascl-term",    # last, so the kinds before it draw the same cases from a shared rng
 )
@@ -119,17 +119,14 @@ def op_grad_case(kind, rng):
     if kind == "exp":
         leaves = [parameter(rng.uniform(-2.0, 2.0, size=(3, 4)))]
         return leaves, lambda: T.exp(leaves[0])
-    if kind == "log":
-        leaves = [parameter(rng.uniform(0.5, 2.0, size=(3, 4)))]
-        return leaves, lambda: T.log(leaves[0])
     if kind in ("softplus", "silu", "square"):
         leaves = [parameter(rng.normal(scale=2.0, size=(3, 4)))]
         fn = {"softplus": T.softplus, "silu": T.silu, "square": T.square}[kind]
         return leaves, lambda: fn(leaves[0])
-    if kind == "clamp-min":
+    if kind == "relu":
         signs = rng.choice([-1.0, 1.0], size=(3, 4))
         leaves = [parameter(rng.uniform(0.2, 1.5, size=(3, 4)) * signs)]
-        return leaves, lambda: T.clamp_min(leaves[0], 0.0)
+        return leaves, lambda: T.relu(leaves[0])
     if kind == "cosine-similarity-matrix":
         leaves = [normal(4, 5), normal(3, 5)]
         return leaves, lambda: T.cosine_similarity_matrix(*leaves)
@@ -249,6 +246,47 @@ def contrastive_reference(cos_mats, similarity, tau, mode, floor):
                           for j in range(n) if j != i)
             total += math.log(num / den)
     return -total / (2.0 * n), clamped
+
+
+def guarded_log(a):
+    """Taped ``log(max(a, EPS))``, the guard ``ascl_term`` puts on its denominators."""
+    safe = np.maximum(a.data, T.EPS)
+
+    def backward(g):
+        T._accum(a, g / safe)
+
+    return T._make(np.log(safe), (a,), backward)
+
+
+def floored_max(a, floor):
+    """Taped ``max(a, floor)``; no gradient reaches a floored element."""
+    def backward(g):
+        T._accum(a, g * (a.data > floor))
+
+    return T._make(np.maximum(a.data, floor), (a,), backward)
+
+
+def composed_contrastive_loss(h_fused, h_views, similarity, tau, mode, floor):
+    """The contrastive loss as a chain of taped ops, one node per op.
+
+    ``tensor.ascl_term`` runs each view's chain as one node, with the same
+    bits forward and backward.
+    """
+    n = h_fused.shape[0]
+    weights = Tensor((1.0 - similarity) / tau)
+    eye, off_diag = Tensor(np.eye(n)), Tensor(1.0 - np.eye(n))
+    total = None
+    for h_view in h_views:
+        cos = T.cosine_similarity_matrix(h_fused, h_view)
+        pos = T.mul(T.mul(cos, eye).sum(axis=1), Tensor(np.full(n, 1.0 / tau)))
+        weighted = T.exp(T.mul(cos, weights))
+        if mode == "self-excluded":
+            den = T.mul(weighted, off_diag).sum(axis=1)
+        else:
+            den = floored_max(T.sub(weighted.sum(axis=1), Tensor(np.exp(1.0 / tau))), floor)
+        term = T.sub(pos, guarded_log(den)).sum()
+        total = term if total is None else T.add(total, term)
+    return total * (-1.0 / (2.0 * n))
 
 
 def accuracy_bruteforce(pred, truth):
