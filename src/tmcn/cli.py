@@ -30,6 +30,7 @@ from .data import (
 from .trainer import (
     MODES,
     TrainConfig,
+    check_trainable,
     evaluate,
     load_model,
     run_ablation,
@@ -104,14 +105,18 @@ def _preprocess(config, dataset):
     return normalize_views(dataset) if config.preprocess == "minmax" else dataset
 
 
-def _start_run(args, config, command: str, outputs: dict, labeled: bool = False, **extra):
+def _start_run(args, config, command: str, outputs: dict, trains, labeled: bool = False,
+               **extra):
     """Load the raw dataset and write ``run.json`` with ``config`` into ``--out``.
 
-    With ``labeled``, a dataset without labels is refused before anything is written.
+    A dataset that ``train`` would refuse under any config in ``trains``, or,
+    with ``labeled``, one without labels, is refused before anything is written.
     """
     dataset = load_dataset(args.dataset)
     if labeled and dataset.labels is None:
         raise CliError(f"{command} needs a labeled dataset")
+    for cfg in trains:
+        check_trainable(cfg, dataset.n_samples)
     fingerprint = dataset_fingerprint(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,7 +159,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     dataset, out = _start_run(
-        args, config, "train", {"checkpoint": "checkpoint.tmcn", "history": "history.csv"})
+        args, config, "train", {"checkpoint": "checkpoint.tmcn", "history": "history.csv"},
+        trains=[config])
     model, history = train(config, _preprocess(config, dataset))
     history.write_csv(out / "history.csv")
     save_checkpoint(model, out / "checkpoint.tmcn")
@@ -192,7 +198,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    dataset, out = _start_run(args, config, "ablate", {"table": "ablation.csv"}, labeled=True)
+    dataset, out = _start_run(args, config, "ablate", {"table": "ablation.csv"}, labeled=True,
+                              trains=[replace(config, mode=mode) for mode in MODES])
     result = run_ablation(config, _preprocess(config, dataset))
     with open(out / "ablation.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -229,6 +236,7 @@ def cmd_sweep(args) -> int:
             cell = ", ".join(f"{name}={value}" for name, value in zip(names, combo))
             raise CliError(f"invalid configuration in grid cell {cell}: {e}") from None
     dataset, out = _start_run(args, config, "sweep", {"table": "sweep.csv"}, labeled=True,
+                              trains=[cfg for _, cfg in cells],
                               grid={name: values for name, values in grids})
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)

@@ -13,7 +13,7 @@ gradients flow through the projected cosines only.
 Two denominator conventions are provided.  ``self-excluded`` (default)
 sums the weighted negatives over j != i.  ``literal`` sums over all j
 and subtracts exp(1/temperature); that difference can go non-positive,
-so it is floored at ``ascl_floor`` and the clamp rate is reported.
+so it is floored at ``ASCL_FLOOR`` and the clamp rate is reported.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # trainer imports this module
     from .trainer import TrainConfig
 
 ASCL_MODES = ("self-excluded", "literal")
+ASCL_FLOOR = 1e-8   # the floor under a literal-mode denominator
 
 
 @dataclass
@@ -125,8 +126,8 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
 
     Averages -log(pos / den) over all N * M anchor/view terms with the
     1/(2N) convention; ``similarity`` is treated as a constant.  It reads
-    ``temperature``, ``ascl_mode`` and ``ascl_floor`` from ``config``.  Each
-    view's term is one tape node after its cosine matrix (``tensor.ascl_term``).
+    ``temperature`` and ``ascl_mode`` from ``config``.  Each view's term is
+    one tape node after its cosine matrix (``tensor.ascl_term``).
     Returns the scalar loss tensor and clamp statistics (always zero clamps
     in self-excluded mode).
     """
@@ -149,7 +150,7 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
             raise ShapeError(f"contrastive-loss: view projection {h_view.shape} "
                              f"does not match fused {h_fused.shape}")
         term, rows_clamped = ascl_term(cosine_similarity_matrix(h_fused, h_view), weights,
-                                       tau, config.ascl_mode, config.ascl_floor)
+                                       tau, config.ascl_mode, ASCL_FLOOR)
         clamped += rows_clamped
         total = term if total is None else add(total, term)
 

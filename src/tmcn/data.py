@@ -51,6 +51,10 @@ class MultiViewDataset:
     ``views[m]`` is an (N, D_m) float64 matrix; row i of every view
     describes the same sample.  ``labels``, when present, are cluster
     ids 0..k-1 with every id occurring at least once.
+
+    Construction takes each view through float32 to float64, so every
+    value is one that ``save_dataset`` writes exactly: a float32 view is
+    widened in one copy, and other input is rounded to float32 first.
     """
 
     views: list[np.ndarray]
@@ -63,13 +67,12 @@ class MultiViewDataset:
             raise DataFormatError("dataset needs at least one view")
         quantized = []
         for m, v in enumerate(self.views):
-            v = np.asarray(v, dtype=np.float64)
-            if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-                raise DataFormatError(f"view {m}: expected a non-empty 2-D matrix, got shape {v.shape}")
             # float32 quantization keeps in-memory values exactly representable on
             # disk; values beyond float32's range become inf and are rejected below
             with np.errstate(over="ignore"):
-                v = v.astype(np.float32).astype(np.float64)
+                v = np.asarray(v, np.float32).astype(np.float64)
+            if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
+                raise DataFormatError(f"view {m}: expected a non-empty 2-D matrix, got shape {v.shape}")
             bad = ~np.isfinite(v).all(axis=1)
             if bad.any():
                 raise DataFormatError(f"view {m}: non-finite value in row {int(bad.argmax())}")
@@ -130,8 +133,7 @@ def _read_matrix(path: Path) -> np.ndarray:
     if len(raw) != expected:
         raise DataFormatError(
             f"{path.name}: truncated or oversized payload ({len(raw)} bytes, expected {expected})")
-    flat = np.frombuffer(raw, dtype="<f4", offset=12)
-    return flat.reshape(rows, cols).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f4", offset=12).reshape(rows, cols)
 
 
 def _write_labels(path: Path, labels: np.ndarray) -> None:
@@ -337,5 +339,9 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
     views = []
     for dim in spec.view_dims:
         w = rng.normal(size=(latent_dim, dim)) / np.sqrt(latent_dim)
-        views.append(latent @ w + rng.normal(size=(n, dim)) * spec.noise_std)
+        # rounded here as construction would round it, so the float64 sum
+        # lives for one view only; an overflow to inf is refused there
+        with np.errstate(over="ignore"):
+            views.append((latent @ w + rng.normal(size=(n, dim)) * spec.noise_std)
+                         .astype(np.float32))
     return MultiViewDataset(views=views, labels=labels, name=spec.name, n_clusters=k)

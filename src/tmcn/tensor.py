@@ -124,15 +124,20 @@ class Tape:
         self._sweep(loss, np.ones_like(loss.data))
 
     def _sweep(self, out: Tensor, grad: np.ndarray) -> None:
-        """Seed ``out`` with ``grad`` and run every record once, newest first."""
+        """Seed ``out`` with ``grad`` and run every record once, newest first.
+
+        A record is dropped, with its output ``Tensor`` unless the caller
+        holds it, before its closure runs on the gradient alone; the arrays
+        the closure saved go once it has run, before the ops upstream
+        allocate their gradients.
+        """
         out.grad = grad
-        # each record is dropped once it has run, so the arrays its closure
-        # saved are freed before the ops upstream allocate their gradients
         records, self._records = self._records, []
         while records:
             out, fn = records.pop()
-            if out.grad is not None:
-                fn(out.grad)
+            grad, out = out.grad, None
+            if grad is not None:
+                fn(grad)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

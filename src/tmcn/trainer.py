@@ -132,7 +132,6 @@ class TrainConfig(ModelConfig):
     joint_epochs: int = _count(35, low=0)
     seed: int = _count(0, low=0)
     ascl_mode: str = _choice("self-excluded", ASCL_MODES)  # denominator convention, or "literal"
-    ascl_floor: float = _real(1e-8)
     n_clusters: int | None = _count(None)
     eval_every: int = _count(0, low=0)  # epochs between metric rows; 0 disables
 
@@ -303,13 +302,32 @@ def _batches(order: np.ndarray, batch: int) -> list[np.ndarray]:
     return out
 
 
+def _contrast_weight(config: TrainConfig) -> float:
+    return 0.0 if config.mode == "no-ascl" else config.ascl_weight
+
+
+def check_trainable(config: TrainConfig, n_samples: int) -> None:
+    """Refuse a contrastive phase on fewer than the 2 samples the loss needs."""
+    if n_samples < 2 and config.joint_epochs and _contrast_weight(config) > 0.0:
+        raise ValueError(f"the contrastive term needs at least 2 samples, the dataset has "
+                         f"{n_samples}; train with joint_epochs=0, ascl_weight=0 or mode no-ascl")
+
+
+def _contrastive_term(model: TmcnModel, zs: list[Tensor], config: TrainConfig):
+    """The joint step's contrastive loss and stats, in a function of its own so
+    that no local outlives it: the tape's sweep then frees the fused vector and
+    the projections, with their gradients, once their nodes' backwards start."""
+    u = model.fuse(zs)
+    sim = average_similarity([view_similarity(z.data) for z in zs])
+    h_fused, h_views = project(u, zs, model.heads)
+    return contrastive_loss(h_fused, h_views, sim, config)
+
+
 def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, TrainHistory]:
     """Run both phases; returns the trained model and the per-epoch history."""
-    lam = 0.0 if config.mode == "no-ascl" else config.ascl_weight
+    lam = _contrast_weight(config)
     n = dataset.n_samples
-    if n < 2 and config.joint_epochs and lam > 0.0:
-        raise ValueError(f"the contrastive term needs at least 2 samples, the dataset has "
-                         f"{n}; train with joint_epochs=0, ascl_weight=0 or mode no-ascl")
+    check_trainable(config, n)
     model = TmcnModel.from_config(dataset.view_dims, config)
     params = model.params()
     opt = Adam(params, lr=config.learning_rate)
@@ -340,10 +358,7 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
                             raise TrainingDiverged(
                                 f"epoch {epoch}: reconstruction term went non-finite")
                         if contrast_on:
-                            u = model.fuse(zs)
-                            sim = average_similarity([view_similarity(z.data) for z in zs])
-                            h_fused, h_views = project(u, zs, model.heads)
-                            closs, stats = contrastive_loss(h_fused, h_views, sim, config)
+                            closs, stats = _contrastive_term(model, zs, config)
                             if not np.isfinite(closs.item()):
                                 raise TrainingDiverged(
                                     f"epoch {epoch}: contrastive term went non-finite")

@@ -252,7 +252,7 @@ def test_criterion_5_contrastive_closed_form(capsys):
     # geometry's denominator negative: the floor must catch every term
     lit_loss, lit_stats = contrastive_loss(
         h, [Tensor(np.eye(2))], sim,
-        TrainConfig(temperature=1.0, ascl_mode="literal", ascl_floor=1e-8))
+        TrainConfig(temperature=1.0, ascl_mode="literal"))
     floored = lit_stats.clamp_frac == 1.0 and np.isfinite(lit_loss.item())
     ok = closed and floored
     _report(capsys, 5, ok, f"self-excluded loss {loss.item():+.9f} (expect -0.5), "

@@ -230,6 +230,23 @@ def test_one_sample_dataset_with_a_contrastive_phase_is_a_clean_error(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "the dataset has 1;" in err[0]
     assert not (out / "checkpoint.tmcn").exists()
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [("ablate", []),
+                                            ("sweep", ["--grid", "ascl_weight=0,1"])])
+def test_ablate_and_sweep_refuse_one_sample_before_run_json(tmp_path, capsys, command, extra):
+    # full mode, and the sweep's ascl_weight=1 cell, each have a contrastive phase
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--samples", "1", "--clusters", "1", "--views", "3,4",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main([command, "--dataset", str(data / "manifest.json"), "--out", str(out),
+                 *TINY_SETS, *extra])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "the dataset has 1;" in err[0]
+    assert not (out / "run.json").exists()
 
 
 def test_unknown_set_field_is_a_clean_error(tmp_path, dataset_dir, capsys):

@@ -101,7 +101,7 @@ def test_two_sample_closed_form():
 def test_two_sample_literal_mode_clamps_every_term():
     # same geometry: sum over all j gives 2, minus e**(1/tau) = e goes negative
     h = Tensor(np.eye(2))
-    config = TrainConfig(temperature=1.0, ascl_mode="literal", ascl_floor=1e-8)
+    config = TrainConfig(temperature=1.0, ascl_mode="literal")
     loss, stats = contrastive_loss(h, [Tensor(np.eye(2))], np.eye(2), config)
     assert stats.clamp_frac == 1.0
     assert stats.terms == 2
@@ -113,7 +113,7 @@ def test_loss_matches_term_by_term_reference(mode):
     rng = np.random.default_rng(3)
     for _ in range(8):
         h_fused, h_views, sim = _random_inputs(rng)
-        config = TrainConfig(temperature=0.7, ascl_mode=mode, ascl_floor=1e-8)
+        config = TrainConfig(temperature=0.7, ascl_mode=mode)
         loss, stats = contrastive_loss(h_fused, h_views, sim, config)
         cos_mats = [cosine_matrix_reference(h_fused.data, h.data) for h in h_views]
         ref_loss, ref_clamped = contrastive_reference(cos_mats, sim, 0.7, mode, 1e-8)
@@ -158,7 +158,7 @@ def test_gradients_match_finite_differences(mode):
     h_views = [parameter(rng.normal(size=(n, d))) for _ in range(m)]
     sim = average_similarity([view_similarity(rng.normal(size=(n, 6))) for _ in range(m)])
     # wide temperature keeps the literal denominator clear of its floor
-    config = TrainConfig(temperature=2.0, ascl_mode=mode, ascl_floor=1e-8)
+    config = TrainConfig(temperature=2.0, ascl_mode=mode)
     _, stats = contrastive_loss(h_fused, h_views, sim, config)
     assert stats.clamped == 0
 
@@ -189,7 +189,7 @@ def test_loss_and_gradients_are_bitwise_the_composed_formula(mode, tau):
     h_views = [parameter(rng.normal(size=(n, d)) + h_fused.data) for _ in range(3)]
     sim = average_similarity([view_similarity(rng.normal(size=(n, 4)) + 1.0)
                               for _ in range(3)])
-    config = TrainConfig(temperature=tau, ascl_mode=mode, ascl_floor=1e-8)
+    config = TrainConfig(temperature=tau, ascl_mode=mode)
     leaves = [h_fused, *h_views]
     got, got_grads = _loss_and_grads(
         lambda: contrastive_loss(h_fused, h_views, sim, config)[0], leaves)
@@ -214,7 +214,7 @@ def test_literal_floored_row_passes_no_gradient():
     h_views = [parameter(rng.uniform(0.5, 1.5, size=(n, d))) for _ in range(2)]
     sim = np.eye(n)
     sim[0, 1:] = sim[1:, 0] = 0.99
-    config = TrainConfig(temperature=0.5, ascl_mode="literal", ascl_floor=1e-8)
+    config = TrainConfig(temperature=0.5, ascl_mode="literal")
     _, stats = contrastive_loss(h_fused, h_views, sim, config)
     assert stats.clamped == len(h_views)    # row 0 of each view's term
 
@@ -270,8 +270,6 @@ def test_config_validation():
         TrainConfig(temperature=0.0)
     with pytest.raises(ValueError, match="^ascl_mode must be one of"):
         TrainConfig(ascl_mode="both")
-    with pytest.raises(ValueError, match="^ascl_floor must"):
-        TrainConfig(ascl_floor=0.0)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,6 +1,7 @@
 """Dataset container, binary format, normalization and generator tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ def test_views_quantize_through_float32_at_construction():
     assert not np.array_equal(ds.views[0], third)
 
 
+def test_construction_from_float32_views_makes_one_float64_copy():
+    # a float32 view is widened once; there is no float64 copy of the input
+    # beside the quantized one (the float64 path peaked at 1.5x of this)
+    rng = np.random.default_rng(2)
+    views = [rng.normal(size=(2_000, d)).astype(np.float32) for d in (20, 30, 25)]
+    widened = sum(8 * v.size for v in views)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = MultiViewDataset(views=views)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * widened, f"construction peaked at {peak / widened:.2f}x the views"
+    for a, b in zip(ds.views, views):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -240,6 +259,36 @@ def test_synthetic_is_deterministic():
         assert np.array_equal(va, vb)
     assert np.array_equal(a.labels, b.labels)
     assert not np.array_equal(a.views[0], c.views[0])
+
+
+def test_synthetic_views_are_the_float64_expression_quantized():
+    # the views are rounded to float32 inside the generator; the bytes are
+    # those of the float64 expression quantized at construction
+    spec = SyntheticSpec(n_samples=61, n_clusters=3, view_dims=[4, 9], separation=2.5,
+                         noise_std=1.5, seed=11)
+    ds = generate_synthetic(spec)
+    n, k = spec.n_samples, spec.n_clusters
+    rng = np.random.default_rng(spec.seed)
+    latent_dim = max(4, k)
+    centroids = rng.normal(size=(k, latent_dim)) * spec.separation
+    counts = np.full(k, n // k)
+    counts[: n % k] += 1
+    labels = rng.permutation(np.repeat(np.arange(k), counts))
+    latent = centroids[labels] + rng.normal(size=(n, latent_dim))
+    assert np.array_equal(ds.labels, labels)
+    for dim, view in zip(spec.view_dims, ds.views):
+        w = rng.normal(size=(latent_dim, dim)) / np.sqrt(latent_dim)
+        expected = (latent @ w + rng.normal(size=(n, dim)) * spec.noise_std)
+        assert view.dtype == np.float64
+        assert view.tobytes() == expected.astype(np.float32).astype(np.float64).tobytes()
+
+
+def test_synthetic_save_load_round_trip_is_bit_exact(tmp_path):
+    ds = generate_synthetic(SyntheticSpec(n_samples=40, seed=5))
+    back = load_dataset(save_dataset(ds, tmp_path))
+    assert np.array_equal(back.labels, ds.labels)
+    for a, b in zip(back.views, ds.views):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
 def test_synthetic_labels_are_balanced():

@@ -7,6 +7,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -331,6 +332,30 @@ def test_no_tracking_outside_a_tape():
     out = square(w)
     assert not out.requires_grad
     assert w.grad is None
+
+
+def test_sweep_frees_a_node_output_before_its_backward_runs():
+    # the closure gets only the gradient: with no outside reference, the
+    # node's output, its data and its .grad slot are gone while it runs
+    class Node(Tensor):         # a subclass without __slots__ takes weak references
+        pass
+
+    w = parameter([1.0, -2.0])
+    dead = []
+    with Tape() as tape:
+        out = Node(w.data * 3.0, requires_grad=True)
+        node = weakref.ref(out)
+
+        def backward(g):
+            dead.append(node() is None)
+            tensor._accum(w, g * 3.0)
+
+        tape.record(out, (w,), backward)
+        loss = out.sum()
+        del out
+        tape.backward(loss)
+    assert dead == [True]
+    assert np.array_equal(w.grad, [3.0, 3.0])
 
 
 def test_constant_inputs_are_not_recorded():

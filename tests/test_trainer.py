@@ -4,15 +4,18 @@ import hashlib
 import json
 import math
 import re
+import weakref
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from helpers import DROP, set_checkpoint_field, write_sealed
+from tmcn import trainer
 from tmcn.clustering import accuracy
 from tmcn.data import MultiViewDataset, SyntheticSpec, generate_synthetic
-from tmcn.tensor import Tensor, parameter
+from tmcn.fusion import SelectiveFusion
+from tmcn.tensor import Tensor, active_tape, parameter
 from tmcn.trainer import (
     HISTORY_COLUMNS,
     MODES,
@@ -104,9 +107,7 @@ def test_train_config_run_counts_keep_their_floors_and_take_numpy_integers():
     ("ascl_weight", math.nan, "non-negative"), ("ascl_weight", -1.0, "non-negative"),
     ("ascl_weight", True, "non-negative"), ("temperature", math.inf, "positive"),
     ("temperature", math.nan, "positive"), ("temperature", 0, "positive"),
-    ("temperature", "0.5", "positive"), ("ascl_floor", -math.inf, "positive"),
-    ("ascl_floor", False, "positive"), ("ascl_floor", True, "positive"),
-    ("ascl_floor", math.nan, "positive"),
+    ("temperature", "0.5", "positive"),
 ])
 def test_train_config_refuses_non_finite_or_non_numeric_floats(field, value, kind):
     with pytest.raises(ValueError, match=rf"^{field} must be a finite {kind} number, got "
@@ -115,8 +116,7 @@ def test_train_config_refuses_non_finite_or_non_numeric_floats(field, value, kin
 
 
 def test_train_config_floats_take_ints_and_numpy_floats():
-    config = _tiny_config(learning_rate=1, ascl_weight=0, temperature=np.float32(0.5),
-                          ascl_floor=np.float64(1e-6))
+    config = _tiny_config(learning_rate=1, ascl_weight=0, temperature=np.float32(0.5))
     assert config.learning_rate == 1 and config.temperature == 0.5
 
 
@@ -199,6 +199,32 @@ def test_one_sample_refuses_a_contrastive_phase_before_the_first_step(monkeypatc
     for overrides in ({"mode": "no-ascl"}, {"ascl_weight": 0.0}, {"joint_epochs": 0}):
         _, history = train(_tiny_config(**overrides), one)
         assert len(history.records) == 2 + overrides.get("joint_epochs", 2)
+
+
+def test_joint_step_frees_the_fused_vector_and_projections_before_the_block_backward():
+    # nothing outside the tape holds them once the contrastive forward returns,
+    # and the sweep drops each node's output before its backward runs: the
+    # fusion block's backward, which comes after the heads', finds them gone
+    raw_project, raw_rows = trainer.project, SelectiveFusion._fuse_rows
+    watched, live = [], []
+
+    def project(u, zs, heads):
+        h_fused, h_views = raw_project(u, zs, heads)
+        watched[:] = [weakref.ref(t.data) for t in (u, h_fused, *h_views)]
+        return h_fused, h_views
+
+    def fuse_rows(self, u):
+        if active_tape() is not None and watched:      # the backward's first rerun
+            live.append(sum(ref() is not None for ref in watched))
+            watched.clear()
+        return raw_rows(self, u)
+
+    trainer.project, SelectiveFusion._fuse_rows = project, fuse_rows
+    try:
+        train(_tiny_config(pretrain_epochs=0, joint_epochs=1), _tiny_dataset())
+    finally:
+        trainer.project, SelectiveFusion._fuse_rows = raw_project, raw_rows
+    assert live == [0, 0, 0], f"arrays still live per step: {live}"
 
 
 def test_zero_weight_matches_no_ascl_exactly():
