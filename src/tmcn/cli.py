@@ -74,13 +74,17 @@ def _parse_field(name: str, raw: str):
 def _load_config(args) -> TrainConfig:
     pairs = []  # (key, text) from the INI file, then from --set
     if args.config:
-        parser = configparser.ConfigParser(interpolation=None)  # a % is literal text
+        # a % is literal text; [DEFAULT] reads as a plain section, since no
+        # header can name "", so each section yields only its own keys
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             if not parser.read(args.config):
                 raise CliError(f"config file not found: {args.config}")
         except configparser.Error as e:  # names the file and the line
             raise CliError(" ".join(str(e).split())) from None
-        pairs = [item for section in parser.sections() for item in parser.items(section)]
+        # [DEFAULT] first, wherever it stands, so a named section's key wins over it
+        sections = sorted(parser.sections(), key=lambda section: section != "DEFAULT")
+        pairs = [item for section in sections for item in parser.items(section)]
     for pair in args.set:
         if "=" not in pair:
             raise CliError(f"--set expects key=value, got {pair!r}")

@@ -95,6 +95,9 @@ class MultiViewDataset:
             k = self.n_clusters if self.n_clusters is not None else int(present[-1]) + 1
             if present[-1] >= k:
                 raise DataFormatError(f"label out of range: {present[-1]} with {k} clusters")
+            if k > n:   # every id 0..k-1 must occur; refused before any set of k ids is built
+                raise DataFormatError(f"{k} clusters cannot all occur in {n} samples "
+                                      f"(largest label {present[-1]})")
             if len(present) != k:
                 missing = sorted(set(range(k)) - set(present.tolist()))
                 raise DataFormatError(f"missing cluster id(s): {missing}")

@@ -10,8 +10,8 @@ from .tensor import ShapeError, Tensor, matmul, parameter
 class Affine:
     """Single dense layer y = x @ w + b, applied along the last axis of x.
 
-    One ``matmul`` with ``b`` as its bias operand: the tape keeps one
-    output-sized array per call, not the product and the sum.
+    One ``matmul`` with ``b`` as its bias operand and, with ``relu``, the
+    activation fused in: the tape keeps one output-sized array per call.
     """
 
     def __init__(self, w: Tensor, b: Tensor):
@@ -29,10 +29,10 @@ class Affine:
     def in_dim(self) -> int:
         return self.w.shape[0]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         if x.ndim < 1 or x.shape[-1] != self.in_dim:
             raise ShapeError(f"affine: expected input (..., {self.in_dim}), got {x.shape}")
-        return matmul(x, self.w, self.b)
+        return matmul(x, self.w, self.b, relu=relu)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.w, f"{prefix}.bias": self.b}
@@ -48,7 +48,7 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers[:-1]:
-            x = layer(x).relu()
+            x = layer(x, relu=True)
         return self.layers[-1](x)
 
     def params(self, prefix: str) -> dict[str, Tensor]:

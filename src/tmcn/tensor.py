@@ -71,9 +71,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def relu(self):
-        return relu(self)
-
 
 def parameter(data) -> Tensor:
     """Leaf tensor that accumulates gradients."""
@@ -175,13 +172,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # binary ops
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
     """``a`` (..., K) times ``b`` (K, M), one GEMM over the rows of ``a``, plus ``bias`` (M,).
 
-    The bias is added in place to the GEMM output, so a dense layer keeps
-    one output-sized array on the tape, not the product and the sum.  The
-    forward and all gradients are bitwise those of ``add(matmul(a, b), bias)``:
-    the bias gradient is the same ``_unbroadcast`` reduction ``add`` runs.
+    The bias is added, and with ``relu`` max(., 0) taken, in place on the
+    GEMM output, so a dense layer keeps one output-sized array on the
+    tape, not the product, the sum and the activation.  The relu backward
+    masks on ``out > 0``, which is the pre-activation's sign for every
+    float, NaN and -0.0 included.  The forward and all gradients are
+    bitwise those of ``add(matmul(a, b), bias)`` followed by a separate
+    max(., 0) node: the bias gradient is the same ``_unbroadcast``
+    reduction ``add`` runs.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
@@ -193,9 +194,13 @@ def matmul(a, b, bias=None) -> Tensor:
         if bias.shape != b.shape[1:]:
             raise ShapeError(f"matmul: bias shape {bias.shape}, expected {b.shape[1:]}")
         data += bias.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
     data = data.reshape(a.shape[:-1] + b.shape[1:])
 
     def backward(g):
+        if relu:
+            g = g * (data > 0.0)
         if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.shape))
         g = g.reshape(-1, b.shape[1])
@@ -379,18 +384,6 @@ def square(a) -> Tensor:
 
     def backward(g):
         _accum(a, g * (2.0 * a.data))
-
-    return _make(data, (a,), backward)
-
-
-def relu(a) -> Tensor:
-    """``max(a, 0)``.  The backward masks on ``out > 0``, which is ``a > 0``
-    for every float, NaN and -0.0 included."""
-    a = _as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        _accum(a, g * (data > 0.0))
 
     return _make(data, (a,), backward)
 

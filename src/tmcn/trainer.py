@@ -191,8 +191,9 @@ class TmcnModel:
 
         This is the consensus vector the clustering runs on; the
         projection heads exist only inside the contrastive loss.  Rows
-        run in chunks of ``TrainConfig.batch_size``, so inference memory
-        is bounded by the batch size, not by the sample count.  The views
+        run in chunks of ``TrainConfig.batch_size``, each written into the
+        one (N, M*E) output, so inference memory above that output is
+        bounded by the batch size, not by the sample count.  The views
         must match the model's ``view_dims`` in count and width, and one
         another in rows.
         """
@@ -205,15 +206,19 @@ class TmcnModel:
                 raise ValueError(f"view {m} has {v.shape[-1]} columns, the model expects {dim}")
             if len(v) != len(views[0]):
                 raise ValueError(f"view {m} has {len(v)} rows, view 0 has {len(views[0])}")
-        # an overflow surfaces as a non-finite row, which raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.concatenate([
-                self.fuse(self.encode_views([Tensor(v[idx]) for v in views])).data
-                for idx in _batches(np.arange(len(views[0])), TrainConfig.batch_size)])
-        bad = ~np.isfinite(out).all(axis=1)
-        if bad.any():
-            raise FloatingPointError(f"fused embedding: non-finite value in row "
-                                     f"{int(bad.argmax())}")
+        n = len(views[0])
+        if n == 0:
+            raise ValueError("fused embedding: the views have no rows")
+        out = np.empty((n, self.n_views * self.embed_dim))
+        for idx in _batches(np.arange(n), TrainConfig.batch_size):
+            rows = out[idx[0]:idx[-1] + 1]
+            # an overflow surfaces as a non-finite row, which raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows[:] = self.fuse(self.encode_views([Tensor(v[idx]) for v in views])).data
+            bad = ~np.isfinite(rows).all(axis=1)
+            if bad.any():
+                raise FloatingPointError(f"fused embedding: non-finite value in row "
+                                         f"{int(idx[bad.argmax()])}")
         return out
 
     def params(self) -> dict[str, Tensor]:

@@ -79,7 +79,7 @@ def check_grads(build_fn, leaves, rtol=1e-5, h=1e-6, seed=0):
 
 
 OP_KINDS = (
-    "add", "relu", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
+    "add", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
     "elementwise-mul", "exp", "matmul", "recompute-rows", "reshape", "scalar-mul",
     "silu", "softplus", "square", "state-scan", "sub", "sum",
     "ascl-term",    # last, so the kinds before it draw the same cases from a shared rng
@@ -94,10 +94,16 @@ def op_grad_case(kind, rng):
     """
     normal = lambda *shape: parameter(rng.normal(size=shape))
     if kind == "matmul":
-        # a batched (..., K) left operand half the time
+        # a batched (..., K) left operand, a bias and a fused relu, each half the
+        # time; relu pre-activations stay clear of 0 by far more than the FD step
         shape = (3, 4) if rng.integers(2) else (2, 3, 4)
-        leaves = [normal(*shape), normal(4, 2)]
-        return leaves, lambda: T.matmul(*leaves)
+        n_leaves = 2 + int(rng.integers(2))
+        relu = bool(rng.integers(2))
+        while True:
+            leaves = [normal(*shape), normal(4, 2), normal(2)][:n_leaves]
+            pre = T.matmul(*leaves).data
+            if not relu or np.abs(pre).min() > 0.1:
+                return leaves, lambda: T.matmul(*leaves, relu=relu)
     if kind in ("add", "sub", "elementwise-mul"):
         # one broadcast operand so the unbroadcast path is on the hook too
         leaves = [normal(3, 4), normal(4)]
@@ -123,10 +129,6 @@ def op_grad_case(kind, rng):
         leaves = [parameter(rng.normal(scale=2.0, size=(3, 4)))]
         fn = {"softplus": T.softplus, "silu": T.silu, "square": T.square}[kind]
         return leaves, lambda: fn(leaves[0])
-    if kind == "relu":
-        signs = rng.choice([-1.0, 1.0], size=(3, 4))
-        leaves = [parameter(rng.uniform(0.2, 1.5, size=(3, 4)) * signs)]
-        return leaves, lambda: T.relu(leaves[0])
     if kind == "cosine-similarity-matrix":
         leaves = [normal(4, 5), normal(3, 5)]
         return leaves, lambda: T.cosine_similarity_matrix(*leaves)

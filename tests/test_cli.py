@@ -192,6 +192,26 @@ def test_config_file_then_set_then_flag_precedence(tmp_path, dataset_dir):
     assert config["seed"] == 3           # named flag overrides everything
 
 
+@pytest.mark.parametrize("text, want", [
+    ("[DEFAULT]\nseq_len = 2\nseq_dim = 4\nhidden_dims = 8\n", (2, 4, [8])),
+    ("[DEFAULT]\nseq_len = 2\nseq_dim = 4\nhidden_dims = 8\n[train]\nseq_dim = 2\n"
+     "[more]\nseed = 3\n", (2, 2, [8])),
+    ("[train]\nseq_dim = 2\n[DEFAULT]\nseq_len = 2\nseq_dim = 4\nhidden_dims = 8\n",
+     (2, 2, [8])),
+], ids=["default-only", "section-wins", "default-last"])
+def test_config_file_default_keys_apply_under_the_named_sections(tmp_path, dataset_dir,
+                                                                  text, want):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    code = main(["train", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(out), "--config", str(ini),
+                 "--set", "pretrain_epochs=1", "--set", "joint_epochs=0"])
+    assert code == 0
+    config = json.loads((out / "run.json").read_text())["config"]
+    assert (config["seq_len"], config["seq_dim"], config["hidden_dims"]) == want
+
+
 @pytest.mark.parametrize("text, message", [
     ("seq_len = 2\n", "File contains no section headers"),
     ("[train]\nseq_len = 2\n[train]\nseed = 1\n", "[line 3]: section 'train' already exists"),
@@ -345,6 +365,27 @@ def test_non_finite_view_is_a_clean_error(tmp_path, dataset_dir, capsys):
                  *TINY_SETS])
     assert code == 1
     assert "error: view 1: non-finite value in row 3" in capsys.readouterr().err
+
+
+def test_label_far_above_the_sample_count_is_a_clean_error(tmp_path, dataset_dir, capsys):
+    # with no n_clusters the largest label sets the cluster count: 2**32 - 1 on
+    # 24 rows is refused in time linear in the rows, not by listing missing ids
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    del doc["n_clusters"]
+    (data / "manifest.json").write_text(json.dumps(doc))
+    labels = np.arange(24) % 2
+    labels[5] = 2**32 - 1
+    (data / "labels.mvcl").write_bytes(b"MVCL" + struct.pack("<I", 24)
+                                       + labels.astype("<u4").tobytes())
+    code = main(["train", "--dataset", str(data / "manifest.json"),
+                 "--out", str(tmp_path / "run"), *TINY_SETS])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == \
+        ["error: 4294967296 clusters cannot all occur in 24 samples (largest label 4294967295)"]
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,14 @@ def test_label_out_of_declared_range():
         MultiViewDataset(views=[np.zeros((3, 2))], labels=np.array([0, 1, 2]), n_clusters=2)
 
 
+@pytest.mark.parametrize("labels, k", [([0, 1, 60_000_000], None), ([0, 1, 1], 10**12)])
+def test_more_clusters_than_samples_rejected(labels, k):
+    # every id 0..k-1 must occur, so k <= N; the check builds no set of k ids
+    with pytest.raises(DataFormatError, match=f"clusters cannot all occur in 3 samples "
+                                              rf"\(largest label {max(labels)}\)"):
+        MultiViewDataset(views=[np.zeros((3, 2))], labels=np.array(labels), n_clusters=k)
+
+
 def test_missing_cluster_ids_rejected():
     with pytest.raises(DataFormatError, match=r"missing cluster id\(s\): \[1\]"):
         MultiViewDataset(views=[np.zeros((3, 2))], labels=np.array([0, 2, 2]), n_clusters=3)

@@ -38,7 +38,6 @@ from tmcn.tensor import (
     matmul,
     mul,
     parameter,
-    relu,
     reshape,
     silu,
     softplus,
@@ -106,11 +105,12 @@ def test_ascl_term_guards_a_denominator_that_underflows():
 
 
 def test_relu_passes_gradient_only_where_its_input_is_positive():
-    # the mask is read off the output, which gives a > 0 at -0.0 and NaN too
-    x = parameter([-1.0, -0.0, 0.0, np.nan, 2.0])
+    # the mask is read off the output, which gives a > 0 at -0.0 and NaN too;
+    # one column keeps the NaN's product in its own row
+    x = parameter([[-1.0], [-0.0], [0.0], [np.nan], [2.0]])
     with Tape() as tape:
-        tape.backward(relu(x).sum())
-    assert x.grad.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        tape.backward(matmul(x, [[1.0]], relu=True).sum())
+    assert x.grad.tolist() == [[0.0], [0.0], [0.0], [0.0], [1.0]]
 
 
 def test_operator_sugar_matches_numpy():
@@ -432,6 +432,29 @@ def test_matmul_bias_is_bitwise_add_of_matmul(a_shape):
         assert np.array_equal(fused, reference)
 
 
+@pytest.mark.parametrize("bias", [False, True])
+def test_matmul_relu_is_bitwise_the_masked_dense_node(bias):
+    # the fused relu forward is max(pre, 0); its backward hands the dense node
+    # g * (out > 0), so a plain node fed that gradient gives the same bits
+    rng = np.random.default_rng(26)
+    a = parameter(rng.normal(size=(2, 7, 5)))
+    b = parameter(rng.normal(size=(5, 4)))
+    operands = (a, b, parameter(rng.normal(size=4))) if bias else (a, b)
+    probe = rng.normal(size=(2, 7, 4))
+    results = []
+    for relu in (True, False):
+        for t in operands:
+            t.grad = None
+        with Tape() as tape:
+            out = matmul(*operands, relu=relu)
+            g = probe if relu else probe * (out.data > 0.0)
+            tape.backward((out * Tensor(g)).sum())
+        results.append([np.maximum(out.data, 0.0)] + [t.grad for t in operands])
+    assert (results[0][0] == 0.0).any() and (results[0][0] > 0.0).any()
+    for fused, reference in zip(*results):
+        assert np.array_equal(fused, reference)
+
+
 def test_matmul_refuses_a_bias_of_the_wrong_shape():
     a, b = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))
     for shape in [(4,), (1, 5), ()]:
@@ -462,15 +485,26 @@ def _taped_bytes(build, x):
     return kept, out.data.nbytes
 
 
-@pytest.mark.parametrize("op", ["affine", "silu"])
+@pytest.mark.parametrize("op", ["affine", "affine-relu", "silu"])
 def test_dense_layer_and_silu_keep_one_output_array_on_the_tape(op):
-    # the bias is added into the GEMM output, and silu recomputes its
-    # sigmoid in backward: each keeps its output, not a second array
+    # the bias is added and the relu taken in the GEMM output, and silu
+    # recomputes its sigmoid in backward: each keeps its output, not a second array
     rng = np.random.default_rng(24)
     x = parameter(rng.normal(size=(256, 24, 16)))
-    build = Affine.init(16, 16, rng) if op == "affine" else silu
+    layer = Affine.init(16, 16, rng)
+    build = {"affine": layer, "affine-relu": lambda v: layer(v, relu=True), "silu": silu}[op]
     kept, nbytes = _taped_bytes(build, x)
     assert kept <= nbytes + 8 * 1024, f"{op} keeps {kept} bytes for a {nbytes}-byte output"
+
+
+@pytest.mark.parametrize("hidden", [0, 1, 3])
+def test_mlp_tapes_one_node_per_layer(hidden):
+    # each hidden relu is fused into its dense node: H + 1 records, not 2H + 1
+    rng = np.random.default_rng(27)
+    mlp = Mlp([4] + [6] * hidden + [3], rng)
+    with Tape() as tape:
+        mlp(Tensor(rng.normal(size=(5, 4))))
+        assert len(tape._records) == hidden + 1
 
 
 def test_backward_computes_no_gradient_for_a_constant_operand():

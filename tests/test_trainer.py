@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import asdict, fields
 
@@ -372,6 +373,32 @@ def test_chunked_embedding_equals_one_pass_bitwise(mode, n):
     chunked = model.fused_embedding(views)
     whole = model.fuse(model.encode_views([Tensor(v) for v in views])).data
     assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["full", "no-tmfn"])
+def test_embedding_holds_its_output_once(mode):
+    # 2,000 rows at the acceptance widths: each batch is written into the one
+    # output array. Above that 5.9 MiB output, full mode peaked at 3.5 MiB and
+    # no-tmfn at 1.5 MiB (numpy 2.4); a list of batches and its concatenation
+    # held it twice, 5.9 MiB above it
+    rng = np.random.default_rng(3)
+    model = TmcnModel([20, 30, 25], ModelConfig(hidden_dims=(128,), seq_len=8, seq_dim=16,
+                                                state_size=8, mode=mode), seed=1)
+    views = [rng.normal(size=(2000, d)) for d in (20, 30, 25)]
+    tracemalloc.start()
+    try:
+        out = model.fused_embedding(views)
+        above = tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2000, 384)
+    assert above < 0.75 * out.nbytes, f"{above / 2**20:.2f} MiB above the output"
+
+
+def test_embedding_of_no_rows_is_refused():
+    model = TmcnModel([3, 2], ModelConfig(hidden_dims=(4,), seq_len=2, seq_dim=2), seed=0)
+    with pytest.raises(ValueError, match="the views have no rows"):
+        model.fused_embedding([np.ones((0, 3)), np.ones((0, 2))])
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
