@@ -79,7 +79,7 @@ def check_grads(build_fn, leaves, rtol=1e-5, h=1e-6, seed=0):
 
 
 OP_KINDS = (
-    "add", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
+    "add", "relu", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
     "elementwise-mul", "exp", "matmul", "recompute-rows", "reshape", "scalar-mul",
     "silu", "softplus", "square", "state-scan", "sub", "sum",
     "ascl-term",    # last, so the kinds before it draw the same cases from a shared rng
@@ -129,6 +129,12 @@ def op_grad_case(kind, rng):
         leaves = [parameter(rng.normal(scale=2.0, size=(3, 4)))]
         fn = {"softplus": T.softplus, "silu": T.silu, "square": T.square}[kind]
         return leaves, lambda: fn(leaves[0])
+    if kind == "relu":
+        # the fused relu alone: an identity weight leaves its input as the
+        # pre-activation, kept off the kink at 0
+        signs = rng.choice([-1.0, 1.0], size=(3, 4))
+        leaves = [parameter(rng.uniform(0.2, 1.5, size=(3, 4)) * signs)]
+        return leaves, lambda: T.matmul(leaves[0], np.eye(4), relu=True)
     if kind == "cosine-similarity-matrix":
         leaves = [normal(4, 5), normal(3, 5)]
         return leaves, lambda: T.cosine_similarity_matrix(*leaves)

@@ -217,7 +217,7 @@ def test_catalog_is_exactly_the_published_kinds():
     ops = {name for name, f in vars(tensor).items()
            if inspect.isfunction(f) and f.__module__ == tensor.__name__
            and not name.startswith("_")} - {"parameter", "active_tape"}
-    renamed = {"elementwise-mul": "mul", "sum": "tensor_sum"}
+    renamed = {"elementwise-mul": "mul", "sum": "tensor_sum", "relu": "matmul"}
     assert {renamed.get(k, k.replace("-", "_")) for k in OP_KINDS} == ops
 
 
