@@ -14,6 +14,7 @@ import configparser
 import csv
 import itertools
 import json
+import logging
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -311,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmcn", description="multi-view clustering engine")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("-v", dest="verbose", action="store_true",
+                        help="write the package's log records to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
@@ -365,11 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("tmcn")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    if args.verbose:
+        log.addHandler(handler)
     try:
         return args.func(args)
     except (CliError, ValueError, OSError, ArithmeticError) as e:  # DataFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .nn import Affine
-from .tensor import EPS, ShapeError, Tensor, add, ascl_term, cosine_similarity_matrix
+from .tensor import EPS, ShapeError, Tensor, add, ascl_term, cosine_similarity_matrix, recompute
 
 if TYPE_CHECKING:  # trainer imports this module
     from .trainer import TrainConfig
@@ -60,9 +60,10 @@ def view_similarity(z: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(z, axis=1) + EPS
     zh = z / norms[:, None]
     s = zh @ zh.T
-    s = (s + s.T) / 2.0
+    s = s + s.T
+    s /= 2.0
     np.fill_diagonal(s, 1.0)
-    return np.clip(s, -1.0, 1.0)
+    return np.clip(s, -1.0, 1.0, out=s)
 
 
 def average_similarity(mats: list[np.ndarray]) -> np.ndarray:
@@ -73,7 +74,10 @@ def average_similarity(mats: list[np.ndarray]) -> np.ndarray:
     for m in mats:
         if m.shape != shape:
             raise ShapeError(f"average-similarity: shape {m.shape} does not match {shape}")
-    s = np.mean(mats, axis=0)
+    s = np.array(mats[0], dtype=np.float64)      # the views added in order, as np.mean does
+    for m in mats[1:]:
+        s += m
+    s /= len(mats)
     _check_similarity(s)
     return s
 
@@ -126,8 +130,13 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
 
     Averages -log(pos / den) over all N * M anchor/view terms with the
     1/(2N) convention; ``similarity`` is treated as a constant.  It reads
-    ``temperature`` and ``ascl_mode`` from ``config``.  Each view's term is
-    one tape node after its cosine matrix (``tensor.ascl_term``).
+    ``temperature`` and ``ascl_mode`` from ``config``.  Each view's term,
+    its cosine matrix followed by ``tensor.ascl_term``, is one
+    ``recompute`` node that keeps only ``h_fused`` and that view's
+    projection: the forward keeps the scalar term and the clamp count, and
+    the backward rebuilds that view's two (N, N) matrices under a tape of
+    its own.  So between forward and backward the only (N, N) array is
+    W = (1 - S) / tau, which the views share.
     Returns the scalar loss tensor and clamp statistics (always zero clamps
     in self-excluded mode).
     """
@@ -142,15 +151,20 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
     _check_similarity(similarity)
 
     tau = config.temperature
-    weights = (1.0 - similarity) / tau              # constant negative scaling
+    weights = 1.0 - similarity                      # constant negative scaling (1 - S) / tau
+    weights /= tau
+
+    def view_term(fused, view):
+        return ascl_term(cosine_similarity_matrix(fused, view), weights, tau, config.ascl_mode,
+                         ASCL_FLOOR)
+
     clamped = 0
     total = None
     for h_view in h_views:
         if h_view.shape != h_fused.shape:
             raise ShapeError(f"contrastive-loss: view projection {h_view.shape} "
                              f"does not match fused {h_fused.shape}")
-        term, rows_clamped = ascl_term(cosine_similarity_matrix(h_fused, h_view), weights,
-                                       tau, config.ascl_mode, ASCL_FLOOR)
+        term, rows_clamped = recompute(view_term, (h_fused, h_view))
         clamped += rows_clamped
         total = term if total is None else add(total, term)
 

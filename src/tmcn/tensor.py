@@ -414,9 +414,10 @@ def cosine_similarity_matrix(a, b) -> Tensor:
     def backward(g):
         ah = a.data / na[:, None]
         bh = b.data / nb[:, None]
-        row = (g * data).sum(axis=1)
+        gd = g * data
+        row, col = gd.sum(axis=1), gd.sum(axis=0)
+        del gd
         _accum(a, (g @ bh - row[:, None] * ah) / na[:, None])
-        col = (g * data).sum(axis=0)
         _accum(b, (g.T @ ah - col[:, None] * bh) / nb[:, None])
 
     return _make(data, (a, b), backward)
@@ -431,7 +432,9 @@ def ascl_term(cos, weights: np.ndarray, tau: float, mode: str,
     exp(cos_ij * W_ij) over j != i (``self-excluded``), or over all j less
     exp(1/tau) and floored at ``floor`` (``literal``), and is clamped at
     ``EPS``: a row whose negatives all underflow reads pos_i - log(EPS).
-    One node keeps exp(cos * W) and the row denominators.  Its bits are
+    Taped, the node keeps exp(cos * W) and the row denominators; the
+    contrastive loss builds it inside ``recompute``, so that tape lives
+    only while one view's term is rerun in the backward.  Its bits are
     those of the composed reference in ``tests/helpers.py``.  Returns the
     scalar term and the number of floored rows.
     """
@@ -601,35 +604,78 @@ def state_scan(x, delta, b_seq, c_seq, a, skip) -> Tensor:
 CHUNK_ROWS = 32
 
 
+def _untaped(fn, *args):
+    """``fn(*args)`` with no tape active, so its ops record nothing."""
+    _TAPES.append(None)
+    try:
+        return fn(*args)
+    finally:
+        _TAPES.pop()
+
+
+def _rerun(fn, leaves, g) -> None:
+    """Rerun ``fn(*leaves)`` under a tape of its own and sweep it from its output with ``g``.
+
+    The leaves and the tensors ``fn`` closes over add up ``.grad`` as
+    usual.  The rerun repeats a forward that has already run and logged,
+    so the records this module logs during it are dropped.
+    """
+    muted, logger.disabled = logger.disabled, True
+    try:
+        with Tape() as tape:
+            out = fn(*leaves)
+    finally:
+        logger.disabled = muted
+    tape._sweep(out, g)
+
+
+def recompute(fn, inputs) -> tuple[Tensor, object]:
+    """``fn(*inputs)``, taped as one node that keeps only ``inputs``.
+
+    ``fn`` returns ``(out, info)`` and takes every tensor that needs a
+    gradient as one of ``inputs``.  The forward runs it untaped and keeps
+    ``out``'s data; ``info`` (a count, say) is returned as it is.  The
+    backward reruns ``fn`` on new leaves over the inputs' data
+    (``_rerun``), so no intermediate of ``fn`` lives from the forward to
+    the backward.
+    """
+    inputs = [_as_tensor(t) for t in inputs]
+    out, info = _untaped(fn, *inputs)
+
+    def backward(g):
+        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
+        _rerun(lambda *ts: fn(*ts)[0], leaves, g)
+        for t, leaf in zip(inputs, leaves):
+            if leaf.grad is not None:
+                _accum(t, leaf.grad)
+
+    return _make(out.data, inputs, backward), info
+
+
 def recompute_rows(fn, x, params) -> Tensor:
     """``fn(x)`` for a row-separable ``fn``, taped as one node that keeps only ``x``.
 
     Row i of ``fn``'s output depends only on row i of its input and on
     the tensors in ``params``.  The forward runs ``fn`` untaped on chunks
-    of ``CHUNK_ROWS`` rows.  The backward reruns each chunk under a tape
-    of its own, seeded with that chunk's rows of the output gradient, and
-    the parameters add up ``.grad`` over the chunks: gradient
-    checkpointing at block granularity (Chen et al., arXiv 1604.06174).
-    An error raised in the forward comes from the first chunk that fails.
+    of ``CHUNK_ROWS`` rows.  The backward reruns each chunk like
+    ``recompute`` does, seeded with that chunk's rows of the output
+    gradient, and the parameters add up ``.grad`` over the chunks:
+    gradient checkpointing at block granularity (Chen et al., arXiv
+    1604.06174).  An error raised in the forward comes from the first
+    chunk that fails.
     """
     x = _as_tensor(x)
     if x.ndim < 1:
         raise ShapeError(f"recompute-rows: expected rows, got shape {x.shape}")
     n = x.shape[0]
     chunks = [slice(r, min(r + CHUNK_ROWS, n)) for r in range(0, n, CHUNK_ROWS)] or [slice(0, 0)]
-    _TAPES.append(None)             # no tape: fn records nothing in the forward
-    try:
-        data = np.concatenate([fn(Tensor(x.data[rows])).data for rows in chunks])
-    finally:
-        _TAPES.pop()
+    data = np.concatenate([_untaped(fn, Tensor(x.data[rows])).data for rows in chunks])
 
     def backward(g):
         gx = np.zeros_like(x.data)
         for rows in chunks:
             part = Tensor(x.data[rows], requires_grad=x.requires_grad)
-            with Tape() as tape:
-                out = fn(part)
-            tape._sweep(out, g[rows])
+            _rerun(fn, [part], g[rows])
             if part.grad is not None:
                 gx[rows] = part.grad
         _accum(x, gx)

@@ -236,7 +236,8 @@ class TmcnModel:
 
 class Adam:
     """Adam with ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS`` and per-parameter step
-    counts; parameters without a gradient are skipped."""
+    counts; parameters without a gradient are skipped.  The moments are
+    updated in place, with the ops and bits of the textbook step."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         self.params = params
@@ -250,8 +251,11 @@ class Adam:
             if p.grad is None:
                 continue
             t = self._t[name] = self._t[name] + 1
-            m = self._m[name] = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * p.grad
-            v = self._v[name] = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * p.grad ** 2
+            m, v = self._m[name], self._v[name]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * p.grad
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * p.grad ** 2
             m_hat = m / (1 - ADAM_BETA1 ** t)
             v_hat = v / (1 - ADAM_BETA2 ** t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -82,7 +82,8 @@ OP_KINDS = (
     "add", "relu", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
     "elementwise-mul", "exp", "matmul", "recompute-rows", "reshape", "scalar-mul",
     "silu", "softplus", "square", "state-scan", "sub", "sum",
-    "ascl-term",    # last, so the kinds before it draw the same cases from a shared rng
+    # the kinds added last, so the kinds before them draw the same cases from a shared rng
+    "ascl-term", "recompute",
 )
 
 
@@ -160,6 +161,15 @@ def op_grad_case(kind, rng):
             return T.mul(T.silu(T.matmul(v, leaves[1], leaves[2])), v)
 
         return leaves, lambda: T.recompute_rows(rows_fn, leaves[0], leaves[1:])
+    if kind == "recompute":
+        # three inputs, the first read twice
+        leaves = [normal(3, 4), normal(2, 4), normal(4, 4)]
+
+        def term_fn(a, b, w):
+            cos = T.cosine_similarity_matrix(T.matmul(a, w), b)
+            return T.mul(cos, T.tensor_sum(a, axis=1, keepdims=True)), None
+
+        return leaves, lambda: T.recompute(term_fn, leaves)[0]
     if kind == "ascl-term":
         # either denominator mode; a literal row is floored or not by a margin
         # no FD step crosses

@@ -16,8 +16,11 @@ from tmcn import trainer
 from tmcn.clustering import accuracy
 from tmcn.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from tmcn.fusion import SelectiveFusion
-from tmcn.tensor import Tensor, active_tape, parameter
+from tmcn.tensor import Tape, Tensor, active_tape, parameter
 from tmcn.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     HISTORY_COLUMNS,
     MODES,
     Adam,
@@ -326,6 +329,55 @@ def test_adam_first_step_size_is_lr():
     p.grad = np.array([3.0, -0.5])
     opt.step()
     assert np.allclose(p.data, [-0.05, 0.05], atol=1e-6)
+
+
+def test_adam_updates_its_moments_in_place_with_the_textbook_bits():
+    rng = np.random.default_rng(4)
+    p = parameter(rng.normal(size=(3, 4)))
+    opt = Adam({"p": p}, lr=0.01)
+    moments = opt._m["p"], opt._v["p"]
+    m, v, data = np.zeros(p.shape), np.zeros(p.shape), p.data.copy()
+    for t in range(1, 4):
+        g = p.grad = rng.normal(size=p.shape)
+        opt.step()
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g ** 2
+        m_hat, v_hat = m / (1 - ADAM_BETA1 ** t), v / (1 - ADAM_BETA2 ** t)
+        data = data - 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        assert (opt._m["p"].tobytes(), opt._v["p"].tobytes()) == (m.tobytes(), v.tobytes())
+        assert p.data.tobytes() == data.tobytes()
+    assert opt._m["p"] is moments[0] and opt._v["p"] is moments[1]
+
+
+def test_joint_step_tape_keeps_no_n_by_n_matrix_per_view(monkeypatch):
+    # AsCL builds a cosine matrix and exp(cos * W) per view; each view's term
+    # reruns both in its own backward, so when the backward starts the step
+    # holds W = (1 - S) / tau and less than two more (N, N) arrays, not 2M
+    n = 512
+    ds = generate_synthetic(SyntheticSpec(n_samples=n, n_clusters=2, view_dims=[5, 4, 3],
+                                          separation=8.0, noise_std=0.3, seed=0))
+    config = _tiny_config(batch_size=n, pretrain_epochs=0, joint_epochs=1)
+    live = []
+    enter, backward = Tape.__enter__, Tape.backward
+
+    def traced_enter(tape):
+        if not live:        # the step's own tape; the reruns open theirs in the backward
+            live.append(tracemalloc.get_traced_memory()[0])
+        return enter(tape)
+
+    def traced_backward(tape, loss):
+        live.append(tracemalloc.get_traced_memory()[0] - live[0])
+        return backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "__enter__", traced_enter)
+    monkeypatch.setattr(Tape, "backward", traced_backward)
+    tracemalloc.start()
+    try:
+        train(config, ds)
+    finally:
+        tracemalloc.stop()
+    beyond_weights = live[1] / (n * n * 8) - 1
+    assert beyond_weights < 2, f"{beyond_weights:.2f} (N, N) arrays beyond W"
 
 
 # ---------------------------------------------------------------------------
