@@ -44,7 +44,6 @@ from .trainer import (  # noqa: E402
     TrainConfig,
     evaluate,
     load_model,
-    run_ablation,
     save_checkpoint,
     train,
 )
@@ -61,6 +60,6 @@ __all__ = [
     "contrastive_loss", "view_similarity",
     "MetricTriple", "accuracy", "evaluate_labels", "kmeans", "nmi", "purity",
     "ModelConfig", "TmcnModel", "TrainConfig", "evaluate", "load_model",
-    "run_ablation", "save_checkpoint", "train",
+    "save_checkpoint", "train",
     "__version__",
 ]

@@ -34,7 +34,6 @@ from .trainer import (
     check_trainable,
     evaluate,
     load_model,
-    run_ablation,
     save_checkpoint,
     train,
 )
@@ -201,18 +200,37 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _score_cells(args, config, command: str, table: str, names: list[str], cells,
+                 **extra) -> list:
+    """Train and evaluate every ``(cell values, config)`` pair of ``cells``.
+
+    ``run.json`` is written first (``_start_run``), then one row of
+    ``table`` per cell: its values under ``names``, then acc, nmi and pur.
+    Each cell's dataset is scaled as its config says, since ``preprocess``
+    may vary, and k-means runs with ``config.seed``.  A cell that fails
+    leaves the rows of the cells before it.  Returns each cell's metrics.
+    """
+    dataset, out = _start_run(args, config, command, {"table": table}, labeled=True,
+                              trains=[cfg for _, cfg in cells], **extra)
+    scores = []
+    with open(out / table, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(names + ["acc", "nmi", "pur"])
+        for values, cfg in cells:
+            scaled = _preprocess(cfg, dataset)
+            model, _history = train(cfg, scaled)
+            metrics = evaluate(model, scaled, k=cfg.n_clusters, seed=config.seed).metrics
+            w.writerow(list(values) + [_fmt(metrics.acc), _fmt(metrics.nmi), _fmt(metrics.pur)])
+            scores.append(metrics)
+    return scores
+
+
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    dataset, out = _start_run(args, config, "ablate", {"table": "ablation.csv"}, labeled=True,
-                              trains=[replace(config, mode=mode) for mode in MODES])
-    result = run_ablation(config, _preprocess(config, dataset))
-    with open(out / "ablation.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["mode", "acc", "nmi", "pur"])
-        for mode, acc, nmi_, pur_ in result.table():
-            w.writerow([mode, _fmt(acc), _fmt(nmi_), _fmt(pur_)])
-    for mode, acc, nmi_, pur_ in result.table():
-        print(f"{mode}: acc={acc:.4f} nmi={nmi_:.4f} pur={pur_:.4f}")
+    scores = _score_cells(args, config, "ablate", "ablation.csv", ["mode"],
+                          [((mode,), replace(config, mode=mode)) for mode in MODES])
+    for mode, m in zip(MODES, scores):
+        print(f"{mode}: acc={m.acc:.4f} nmi={m.nmi:.4f} pur={m.pur:.4f}")
     return 0
 
 
@@ -240,20 +258,9 @@ def cmd_sweep(args) -> int:
         except (TypeError, ValueError) as e:
             cell = ", ".join(f"{name}={value}" for name, value in zip(names, combo))
             raise CliError(f"invalid configuration in grid cell {cell}: {e}") from None
-    dataset, out = _start_run(args, config, "sweep", {"table": "sweep.csv"}, labeled=True,
-                              trains=[cfg for _, cfg in cells],
-                              grid={name: values for name, values in grids})
-    with open(out / "sweep.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(names + ["acc", "nmi", "pur"])
-        for combo, cfg in cells:
-            scaled = _preprocess(cfg, dataset)  # per cell, since preprocess may be swept
-            model, _history = train(cfg, scaled)
-            result = evaluate(model, scaled, k=cfg.n_clusters, seed=config.seed)
-            w.writerow(list(combo) + [_fmt(result.metrics.acc),
-                                      _fmt(result.metrics.nmi),
-                                      _fmt(result.metrics.pur)])
-    print(out / "sweep.csv")
+    _score_cells(args, config, "sweep", "sweep.csv", names, cells,
+                 grid={name: values for name, values in grids})
+    print(Path(args.out) / "sweep.csv")
     return 0
 
 

@@ -28,7 +28,9 @@ class ClusteringResult:
 # in a 2 MiB L2 while the block's objective, distances and sums read them.
 BLOCK_ROWS = 128
 
-# Lloyd stops after MAX_ITERS iterations, or once no center moves by TOL or more.
+# Independent k-means++ runs per call; Lloyd stops after MAX_ITERS
+# iterations, or once no center moves by TOL or more.
+RESTARTS = 10
 MAX_ITERS = 300
 TOL = 1e-9
 
@@ -146,11 +148,11 @@ def _lloyd(points: np.ndarray, norms: np.ndarray, centers: np.ndarray, max_iters
     return assign, centers, prev_obj, len(trace), trace
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
-    """Lloyd's algorithm with k-means++ seeding and ``restarts`` independent runs.
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
+    """Lloyd's algorithm with k-means++ seeding and ``RESTARTS`` independent runs.
 
-    Deterministic for a given (points, k, seed, restarts); the restart
-    with the lowest objective wins, first winner on ties.  The points'
+    Deterministic for a given (points, k, seed); the restart with the
+    lowest objective wins, first winner on ties.  The points'
     squared norms are made once per call, one row block at a time; each
     k-means++ pick is one GEMV against the points, and each Lloyd iteration
     one sweep over the points in L2-sized row blocks (``_lloyd``).  No
@@ -165,8 +167,6 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> Clu
     n = points.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"kmeans: k must be in [1, {n}], got {k}")
-    if restarts < 1:
-        raise ValueError(f"kmeans: restarts must be >= 1, got {restarts}")
     norms = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, BLOCK_ROWS):
@@ -183,7 +183,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> Clu
                          f"overflows float64")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         init = _plusplus_init(points, norms, k, rng)
         assign, centers, obj, n_iter, trace = _lloyd(points, norms, init, MAX_ITERS, TOL)
         if best is None or obj < best.objective:

@@ -613,17 +613,17 @@ def _untaped(fn, *args):
         _TAPES.pop()
 
 
-def _rerun(fn, leaves, g) -> None:
-    """Rerun ``fn(*leaves)`` under a tape of its own and sweep it from its output with ``g``.
+def _rerun(fn, inputs, g) -> None:
+    """Rerun ``fn(*inputs)`` under a tape of its own and sweep it from its output with ``g``.
 
-    The leaves and the tensors ``fn`` closes over add up ``.grad`` as
+    The inputs and the tensors ``fn`` closes over add up ``.grad`` as
     usual.  The rerun repeats a forward that has already run and logged,
     so the records this module logs during it are dropped.
     """
     muted, logger.disabled = logger.disabled, True
     try:
         with Tape() as tape:
-            out = fn(*leaves)
+            out = fn(*inputs)
     finally:
         logger.disabled = muted
     tape._sweep(out, g)
@@ -635,21 +635,13 @@ def recompute(fn, inputs) -> tuple[Tensor, object]:
     ``fn`` returns ``(out, info)`` and takes every tensor that needs a
     gradient as one of ``inputs``.  The forward runs it untaped and keeps
     ``out``'s data; ``info`` (a count, say) is returned as it is.  The
-    backward reruns ``fn`` on new leaves over the inputs' data
-    (``_rerun``), so no intermediate of ``fn`` lives from the forward to
-    the backward.
+    backward reruns ``fn`` on ``inputs`` themselves (``_rerun``), whose
+    ops add into the inputs' ``.grad``, so no intermediate of ``fn``
+    lives from the forward to the backward.
     """
     inputs = [_as_tensor(t) for t in inputs]
     out, info = _untaped(fn, *inputs)
-
-    def backward(g):
-        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
-        _rerun(lambda *ts: fn(*ts)[0], leaves, g)
-        for t, leaf in zip(inputs, leaves):
-            if leaf.grad is not None:
-                _accum(t, leaf.grad)
-
-    return _make(out.data, inputs, backward), info
+    return _make(out.data, inputs, lambda g: _rerun(lambda *ts: fn(*ts)[0], inputs, g)), info
 
 
 def recompute_rows(fn, x, params) -> Tensor:

@@ -1,4 +1,4 @@
-"""Two-phase training, evaluation, ablation, checkpoints and history logging.
+"""Two-phase training, evaluation, checkpoints and history logging.
 
 Phase 1 pretrains the per-view autoencoders on the summed reconstruction
 loss; phase 2 jointly minimizes reconstruction plus ``ascl_weight``
@@ -22,7 +22,7 @@ import csv
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -400,7 +400,7 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
 
 
 # ---------------------------------------------------------------------------
-# evaluation and ablation
+# evaluation
 
 @dataclass
 class EvalResult:
@@ -410,7 +410,7 @@ class EvalResult:
 
 def evaluate(model: TmcnModel, dataset: MultiViewDataset, k: int | None = None,
              seed: int = 0) -> EvalResult:
-    """K-means (default restarts) on the fused representation; metrics when labels exist."""
+    """K-means on the fused representation; metrics when labels exist."""
     if k is None:
         k = dataset.n_clusters
     if k is None:
@@ -421,35 +421,6 @@ def evaluate(model: TmcnModel, dataset: MultiViewDataset, k: int | None = None,
     if dataset.labels is not None:
         metrics = evaluate_labels(clustering.assignments, dataset.labels)
     return EvalResult(clustering=clustering, metrics=metrics)
-
-
-@dataclass
-class AblationRun:
-    model: TmcnModel
-    history: TrainHistory
-    metrics: MetricTriple
-
-
-@dataclass
-class AblationResult:
-    runs: dict[str, AblationRun]
-
-    def table(self) -> list[tuple[str, float, float, float]]:
-        return [(mode, run.metrics.acc, run.metrics.nmi, run.metrics.pur)
-                for mode, run in self.runs.items()]
-
-
-def run_ablation(config: TrainConfig, dataset: MultiViewDataset) -> AblationResult:
-    """Train and evaluate every mode with the shared seed from ``config``."""
-    if dataset.labels is None:
-        raise ValueError("ablation needs a labeled dataset")
-    runs: dict[str, AblationRun] = {}
-    for mode in MODES:
-        cfg = replace(config, mode=mode)
-        model, history = train(cfg, dataset)
-        result = evaluate(model, dataset, k=config.n_clusters, seed=config.seed)
-        runs[mode] = AblationRun(model=model, history=history, metrics=result.metrics)
-    return AblationResult(runs=runs)
 
 
 # ---------------------------------------------------------------------------

@@ -552,6 +552,25 @@ def test_ablate_writes_mode_table(tmp_path, dataset_dir, capsys):
     assert json.loads((out / "run.json").read_text())["command"] == "ablate"
 
 
+def test_ablate_is_a_sweep_over_mode(tmp_path, capsys):
+    # overlapping clusters, so the modes score apart and the rows are told apart
+    data = tmp_path / "data"
+    assert main(["synth", "--samples", "120", "--clusters", "4", "--separation", "1.5",
+                 "--noise", "1.5", "--seed", "0", "--out", str(data)]) == 0
+    base = ["--dataset", str(data / "manifest.json"), *TINY_SETS]
+    assert main(["ablate", *base, "--out", str(tmp_path / "ab")]) == 0
+    assert main(["sweep", *base, "--out", str(tmp_path / "sw"),
+                 "--grid", "mode=full,no-tmfn,no-ascl"]) == 0
+    table = (tmp_path / "ab" / "ablation.csv").read_bytes()
+    assert table == (tmp_path / "sw" / "sweep.csv").read_bytes()
+    scores = [row.split(",", 1)[1] for row in table.decode().splitlines()[1:]]
+    assert len(set(scores)) == 3
+    ablate, sweep = (json.loads((tmp_path / name / "run.json").read_text())
+                     for name in ("ab", "sw"))
+    assert {key for key in ablate.keys() | sweep.keys()
+            if ablate.get(key) != sweep.get(key)} == {"command", "outputs", "grid"}
+
+
 def test_sweep_covers_the_grid(tmp_path, dataset_dir):
     out = tmp_path / "sw"
     code = main(["sweep", "--dataset", str(dataset_dir / "manifest.json"),

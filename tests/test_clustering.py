@@ -98,8 +98,6 @@ def test_kmeans_validation():
         kmeans(pts, 0)
     with pytest.raises(ValueError, match="k must be"):
         kmeans(pts, 5)
-    with pytest.raises(ValueError, match="restarts"):
-        kmeans(pts, 2, restarts=0)
     with pytest.raises(ValueError, match="matrix"):
         kmeans(np.zeros(4), 2)
     # rows whose squared norm is not a float: named, not turned into NaN distances

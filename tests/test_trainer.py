@@ -32,7 +32,6 @@ from tmcn.trainer import (
     _read_checkpoint,
     evaluate,
     load_model,
-    run_ablation,
     save_checkpoint,
     train,
 )
@@ -469,26 +468,6 @@ def test_views_with_unequal_rows_are_named(rows):
     model = TmcnModel([3, 2], ModelConfig(hidden_dims=(4,), seq_len=2, seq_dim=2), seed=0)
     with pytest.raises(ValueError, match=f"view 1 has {rows} rows, view 0 has 6"):
         model.fused_embedding([np.ones((6, 3)), np.ones((rows, 2))])
-
-
-# ---------------------------------------------------------------------------
-# ablation
-
-def test_ablation_covers_all_modes():
-    ds = _tiny_dataset()
-    result = run_ablation(_tiny_config(pretrain_epochs=1, joint_epochs=1), ds)
-    assert set(result.runs) == set(MODES)
-    table = result.table()
-    assert len(table) == 3
-    for _, acc, nmi_val, pur in table:
-        assert 0.0 <= acc <= 1.0 and 0.0 <= nmi_val <= 1.0 and 0.0 <= pur <= 1.0
-
-
-def test_ablation_requires_labels():
-    ds = _tiny_dataset()
-    unlabeled = MultiViewDataset(views=ds.views, name="u")
-    with pytest.raises(ValueError, match="labeled"):
-        run_ablation(_tiny_config(), unlabeled)
 
 
 # ---------------------------------------------------------------------------
