@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import Mlp
-from .tensor import ShapeError, Tensor, add, square, sub
+from .tensor import ShapeError, Tensor, add, sub
 
 
 class ViewAutoencoder:
@@ -52,6 +52,7 @@ def reconstruction_loss(inputs: list[Tensor], reconstructions: list[Tensor]) -> 
     for x, xh in zip(inputs, reconstructions):
         if x.shape != xh.shape:
             raise ShapeError(f"reconstruction-loss: shape {xh.shape} does not match input {x.shape}")
-        term = square(sub(x, xh)).sum()
+        diff = sub(x, xh)
+        term = (diff * diff).sum()
         total = term if total is None else add(total, term)
     return total

@@ -63,10 +63,10 @@ def _canonical_field(name: str) -> str:
     return field
 
 
-def _parse_field(name: str, raw: str):
-    field = _canonical_field(name)
+def _parse_value(field: str, raw: str):
+    """``raw`` parsed for ``field``, a name ``_canonical_field`` returned."""
     try:
-        return field, _FIELD_PARSERS[field](raw)
+        return _FIELD_PARSERS[field](raw)
     except ValueError:
         raise CliError(f"cannot parse {raw!r} as a value for {field}") from None
 
@@ -89,7 +89,10 @@ def _load_config(args) -> TrainConfig:
         if "=" not in pair:
             raise CliError(f"--set expects key=value, got {pair!r}")
         pairs.append(pair.split("=", 1))
-    values = dict(_parse_field(key.strip(), raw.strip()) for key, raw in pairs)
+    values = {}
+    for key, raw in pairs:
+        field = _canonical_field(key.strip())
+        values[field] = _parse_value(field, raw.strip())
     if getattr(args, "mode", None) is not None:
         values["mode"] = args.mode
     if args.seed is not None:
@@ -235,31 +238,34 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grids: list[tuple[str, list]] = []
+    grids: dict[str, tuple[str, list]] = {}   # field -> (name as given, values)
     for spec in args.grid:
         if "=" not in spec:
             raise CliError(f"--grid expects name=v1,v2,..., got {spec!r}")
         name, raw = spec.split("=", 1)
-        field = _canonical_field(name.strip())
-        values = [_parse_field(field, v)[1] for v in raw.split(",") if v]
+        name = name.strip()
+        field = _canonical_field(name)
+        if field in grids:
+            raise CliError(f"--grid {grids[field][0]} and --grid {name} both set {field}; "
+                           f"give each field one --grid")
+        values = [_parse_value(field, v) for v in raw.split(",") if v]
         if not values:
             raise CliError(f"--grid {name}: no values given")
-        grids.append((name.strip(), values))
+        grids[field] = (name, values)
     if not grids:
         raise CliError("sweep needs at least one --grid")
     config = _load_config(args)
-    names = [name for name, _ in grids]
-    fields = [_canonical_field(name) for name in names]
+    names = [name for name, _ in grids.values()]
     # every cell is checked before the first one trains
     cells = []
-    for combo in itertools.product(*(values for _, values in grids)):
+    for combo in itertools.product(*(values for _, values in grids.values())):
         try:
-            cells.append((combo, replace(config, **dict(zip(fields, combo)))))
+            cells.append((combo, replace(config, **dict(zip(grids, combo)))))
         except (TypeError, ValueError) as e:
             cell = ", ".join(f"{name}={value}" for name, value in zip(names, combo))
             raise CliError(f"invalid configuration in grid cell {cell}: {e}") from None
     _score_cells(args, config, "sweep", "sweep.csv", names, cells,
-                 grid={name: values for name, values in grids})
+                 grid=dict(grids.values()))
     print(Path(args.out) / "sweep.csv")
     return 0
 

@@ -168,6 +168,6 @@ def contrastive_loss(h_fused: Tensor, h_views: list[Tensor], similarity: np.ndar
         clamped += rows_clamped
         total = term if total is None else add(total, term)
 
-    loss = total * (-1.0 / (2.0 * n))
+    loss = total * Tensor(-1.0 / (2.0 * n))
     return loss, ContrastiveStats(clamped=clamped, terms=n * len(h_views))
 

@@ -32,7 +32,8 @@ class Tensor:
 
     Tensors are value-like: operations never mutate their inputs.  The
     trainer rebinding ``data`` between optimization steps is the only
-    sanctioned mutation.
+    sanctioned mutation.  Every op takes ``Tensor`` operands only, so a
+    constant enters as ``Tensor(c)``; ``*`` is ``mul`` of two Tensors.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -63,8 +64,6 @@ class Tensor:
         return add(self, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
         return mul(self, other)
 
     # -- method forms of ops --------------------------------------------
@@ -152,10 +151,6 @@ def _make(data: np.ndarray, inputs, backward_fn) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
@@ -184,13 +179,11 @@ def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
     max(., 0) node: the bias gradient is the same ``_unbroadcast``
     reduction ``add`` runs.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     rows = a.data.reshape(-1, b.shape[0])
     data = rows @ b.data
     if bias is not None:
-        bias = _as_tensor(bias)
         if bias.shape != b.shape[1:]:
             raise ShapeError(f"matmul: bias shape {bias.shape}, expected {b.shape[1:]}")
         data += bias.data
@@ -213,7 +206,6 @@ def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
 
 
 def _broadcast_binary(name, a, b, fwd, da, db) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = fwd(a.data, b.data)
     except ValueError:
@@ -242,22 +234,10 @@ def mul(a, b) -> Tensor:
                              lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def scalar_mul(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-    data = a.data * c
-
-    def backward(g):
-        _accum(a, g * c)
-
-    return _make(data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
 def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
     try:
         data = a.data.reshape(shape)
@@ -272,7 +252,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat: need at least one tensor")
     nd = tensors[0].ndim
@@ -315,7 +295,6 @@ def _spread(g, shape, axis, keepdims):
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     ax = _norm_axis(axis, a.ndim)
     data = a.data.sum(axis=ax, keepdims=keepdims)
     shape = a.shape
@@ -345,7 +324,6 @@ def _expit(x) -> np.ndarray:
 
 
 def exp(a) -> Tensor:
-    a = _as_tensor(a)
     data = np.exp(a.data)
 
     def backward(g):
@@ -355,7 +333,6 @@ def exp(a) -> Tensor:
 
 
 def softplus(a) -> Tensor:
-    a = _as_tensor(a)
     data = np.logaddexp(0.0, a.data)
 
     def backward(g):
@@ -368,22 +345,11 @@ def silu(a) -> Tensor:
     """``a * sigmoid(a)``.  The backward recomputes the sigmoid from ``a``
     rather than keeping it, so the tape holds only the output; the same ops
     on the same data give the same bits."""
-    a = _as_tensor(a)
     data = a.data * _expit(a.data)
 
     def backward(g):
         s = _expit(a.data)
         _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
-
-    return _make(data, (a,), backward)
-
-
-def square(a) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data * a.data
-
-    def backward(g):
-        _accum(a, g * (2.0 * a.data))
 
     return _make(data, (a,), backward)
 
@@ -398,7 +364,6 @@ def cosine_similarity_matrix(a, b) -> Tensor:
     similarities and are flagged in the log rather than raising.  The node
     keeps the norms; the backward rebuilds the normalised rows bit for bit.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(
             f"cosine-similarity-matrix: incompatible shapes {a.shape} and {b.shape}")
@@ -438,7 +403,6 @@ def ascl_term(cos, weights: np.ndarray, tau: float, mode: str,
     those of the composed reference in ``tests/helpers.py``.  Returns the
     scalar term and the number of floored rows.
     """
-    cos = _as_tensor(cos)
     c = cos.data
     pos = np.diagonal(c) * (1.0 / tau)
     weighted = np.exp(c * weights)
@@ -477,7 +441,6 @@ def conv1d_depthwise(x, kernel) -> Tensor:
     the input j tokens in the past, so kernel [1, 0, ...] is the identity
     and no output token sees the future.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 2 or kernel.shape[0] != x.shape[2]:
         raise ShapeError(
             f"conv1d-depthwise: expected x (N, L, C) with kernel (C, k), "
@@ -520,9 +483,6 @@ def state_scan(x, delta, b_seq, c_seq, a, skip) -> Tensor:
     Raises on a non-finite state, naming the earliest offending step
     over all N rows.
     """
-    x, delta = _as_tensor(x), _as_tensor(delta)
-    b_seq, c_seq = _as_tensor(b_seq), _as_tensor(c_seq)
-    a, skip = _as_tensor(a), _as_tensor(skip)
     if x.ndim != 3:
         raise ShapeError(f"state-scan: expected x (N, L, C), got {x.shape}")
     n, length, channels = x.shape
@@ -639,7 +599,6 @@ def recompute(fn, inputs) -> tuple[Tensor, object]:
     ops add into the inputs' ``.grad``, so no intermediate of ``fn``
     lives from the forward to the backward.
     """
-    inputs = [_as_tensor(t) for t in inputs]
     out, info = _untaped(fn, *inputs)
     return _make(out.data, inputs, lambda g: _rerun(lambda *ts: fn(*ts)[0], inputs, g)), info
 
@@ -656,7 +615,6 @@ def recompute_rows(fn, x, params) -> Tensor:
     1604.06174).  An error raised in the forward comes from the first
     chunk that fails.
     """
-    x = _as_tensor(x)
     if x.ndim < 1:
         raise ShapeError(f"recompute-rows: expected rows, got shape {x.shape}")
     n = x.shape[0]

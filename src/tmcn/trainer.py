@@ -371,12 +371,12 @@ def train(config: TrainConfig, dataset: MultiViewDataset) -> tuple[TmcnModel, Tr
                             if not np.isfinite(closs.item()):
                                 raise TrainingDiverged(
                                     f"epoch {epoch}: contrastive term went non-finite")
-                            objective = rec * (1.0 / b) + closs * lam
+                            objective = rec * Tensor(1.0 / b) + closs * Tensor(lam)
                             ascl_weighted += closs.item() * b
                             clamped += stats.clamped
                             terms += stats.terms
                         else:
-                            objective = rec * (1.0 / b)
+                            objective = rec * Tensor(1.0 / b)
                         tape.backward(objective)
                     opt.step()
                 opt.zero_grad()

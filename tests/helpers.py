@@ -80,8 +80,8 @@ def check_grads(build_fn, leaves, rtol=1e-5, h=1e-6, seed=0):
 
 OP_KINDS = (
     "add", "relu", "concat", "conv1d-depthwise", "cosine-similarity-matrix",
-    "elementwise-mul", "exp", "matmul", "recompute-rows", "reshape", "scalar-mul",
-    "silu", "softplus", "square", "state-scan", "sub", "sum",
+    "elementwise-mul", "exp", "matmul", "recompute-rows", "reshape",
+    "silu", "softplus", "state-scan", "sub", "sum",
     # the kinds added last, so the kinds before them draw the same cases from a shared rng
     "ascl-term", "recompute",
 )
@@ -110,9 +110,6 @@ def op_grad_case(kind, rng):
         leaves = [normal(3, 4), normal(4)]
         fn = {"add": T.add, "sub": T.sub, "elementwise-mul": T.mul}[kind]
         return leaves, lambda: fn(*leaves)
-    if kind == "scalar-mul":
-        leaves, c = [normal(3, 4)], float(rng.normal())
-        return leaves, lambda: T.scalar_mul(leaves[0], c)
     if kind == "reshape":
         leaves = [normal(2, 6)]
         return leaves, lambda: T.reshape(leaves[0], (3, 4))
@@ -126,16 +123,16 @@ def op_grad_case(kind, rng):
     if kind == "exp":
         leaves = [parameter(rng.uniform(-2.0, 2.0, size=(3, 4)))]
         return leaves, lambda: T.exp(leaves[0])
-    if kind in ("softplus", "silu", "square"):
+    if kind in ("softplus", "silu"):
         leaves = [parameter(rng.normal(scale=2.0, size=(3, 4)))]
-        fn = {"softplus": T.softplus, "silu": T.silu, "square": T.square}[kind]
+        fn = {"softplus": T.softplus, "silu": T.silu}[kind]
         return leaves, lambda: fn(leaves[0])
     if kind == "relu":
         # the fused relu alone: an identity weight leaves its input as the
         # pre-activation, kept off the kink at 0
         signs = rng.choice([-1.0, 1.0], size=(3, 4))
         leaves = [parameter(rng.uniform(0.2, 1.5, size=(3, 4)) * signs)]
-        return leaves, lambda: T.matmul(leaves[0], np.eye(4), relu=True)
+        return leaves, lambda: T.matmul(leaves[0], Tensor(np.eye(4)), relu=True)
     if kind == "cosine-similarity-matrix":
         leaves = [normal(4, 5), normal(3, 5)]
         return leaves, lambda: T.cosine_similarity_matrix(*leaves)
@@ -304,7 +301,7 @@ def composed_contrastive_loss(h_fused, h_views, similarity, tau, mode, floor):
             den = floored_max(T.sub(weighted.sum(axis=1), Tensor(np.exp(1.0 / tau))), floor)
         term = T.sub(pos, guarded_log(den)).sum()
         total = term if total is None else T.add(total, term)
-    return total * (-1.0 / (2.0 * n))
+    return total * Tensor(-1.0 / (2.0 * n))
 
 
 def accuracy_bruteforce(pred, truth):

@@ -130,7 +130,7 @@ def _full_graph_fd_error():
         u = model.fuse(zs)
         h_fused, h_views = project(u, zs, model.heads)
         closs, _ = contrastive_loss(h_fused, h_views, sim, ccfg)
-        return rec * 0.25 + closs * 0.5   # per-sample rec plus weighted contrast
+        return rec * Tensor(0.25) + closs * Tensor(0.5)   # per-sample rec plus weighted contrast
 
     leaves = list(model.params().values())
     for t in leaves:

@@ -664,6 +664,27 @@ def test_unlabeled_dataset_is_refused_before_any_output(tmp_path, dataset_dir, c
     assert not (out / "run.json").exists() and not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("grids, first, second, field", [
+    (["d=4,8", "d=16"], "d", "d", "seq_dim"),
+    (["d=4", "seq_dim=8"], "d", "seq_dim", "seq_dim"),
+], ids=["same-name", "alias-and-field"])
+def test_sweep_refuses_a_field_gridded_twice(tmp_path, dataset_dir, capsys,
+                                             grids, first, second, field):
+    # two --grid flags on one field would train every row at the last value
+    # while the table's columns claim the others
+    out = tmp_path / "sw"
+    code = main(["sweep", "--dataset", str(dataset_dir / "manifest.json"),
+                 "--out", str(out), *TINY_SETS,
+                 *(arg for grid in grids for arg in ("--grid", grid))])
+    assert code == 1
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert errors == [f"error: --grid {first} and --grid {second} both set {field}; "
+                      f"give each field one --grid"]
+    assert captured.out == ""
+    assert not (out / "run.json").exists() and not (out / "sweep.csv").exists()
+
+
 def test_sweep_without_grid_is_an_error(tmp_path, dataset_dir, capsys):
     code = main(["sweep", "--dataset", str(dataset_dir / "manifest.json"),
                  "--out", str(tmp_path)])

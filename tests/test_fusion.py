@@ -130,7 +130,7 @@ def test_scan_names_the_earliest_non_finite_step_across_row_blocks():
     x[3, 4, 0] = np.inf
     x[70, 1, 0] = np.inf
     with pytest.raises(FloatingPointError, match="step 1$"):
-        state_scan(x, delta, b_seq, c_seq, a, skip)
+        state_scan(*(Tensor(v) for v in (x, delta, b_seq, c_seq, a, skip)))
 
 
 def test_scan_shape_errors():
